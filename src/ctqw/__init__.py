@@ -39,7 +39,7 @@ from .observables import (
     series_from_states,
     smoothed_survival,
 )
-from .propagators import OdeSpec, RingSpec, propagate_ode, propagate_spectral
+from .propagators import OdeSpec, RingSpec, propagate_ode, propagate_ode_batch, propagate_spectral
 from .validate import oracle_triangle
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
     "OdeSpec",
     "RingSpec",
     "propagate_ode",
+    "propagate_ode_batch",
     "propagate_spectral",
     "oracle_triangle",
 ]

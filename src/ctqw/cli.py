@@ -22,8 +22,8 @@ from .model import (
     window_for,
 )
 from .observables import crossing_time, mean_velocity, msd_closed_form, series_from_states
-from .propagators import OdeSpec, RingSpec, propagate_ode, propagate_spectral
-from .tables import emit_table
+from .propagators import OdeSpec, RingSpec, propagate_ode_batch, propagate_spectral
+from .tables import WRITERS, emit_table
 from .validate import oracle_triangle
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5")
@@ -137,16 +137,28 @@ def load_config(path, args, argv):
         setattr(args, dest, value)
 
 
-def _params(args) -> WalkParams:
+def _walk(**kwargs) -> WalkParams:
     try:
-        return WalkParams(gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
+        return WalkParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _params(args) -> WalkParams:
+    return _walk(gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
+
+
+def _require_finite(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
 
 
 def _time_grid(args) -> np.ndarray:
     if args.npoints < 2:
         raise ConfigError(f"npoints must be >= 2, got {args.npoints}")
+    _require_finite(args, "tmin", "tmax")
     if args.tmax <= args.tmin:
         raise ConfigError("tmax must exceed tmin")
     if args.spacing == "log":
@@ -182,22 +194,13 @@ def _states(params, times, args):
     if args.source == "spectral":
         ring = _ring(params, t_max, args)
         return [propagate_spectral(params, ring, t, window) for t in times]
-    ode = _ode(params, args)
-    states, amps, t_prev = [], None, 0.0
-    for t in times:
-        st = propagate_ode(params, window, ode, t - t_prev, initial=amps)
-        amps, t_prev = st.amplitudes, t
-        states.append(WaveState(time=t, window=window, amplitudes=amps))
-    return states
+    snapshots = propagate_ode_batch([params], window, _ode(params, args), times)
+    return [WaveState(time=t, window=window, amplitudes=a[0]) for t, a in zip(times, snapshots)]
 
 
 def _emit(args, header, rows):
     if args.out is None:
-        sys.stdout.write(",".join(header) + "\n")
-        from .tables import format_value
-
-        for row in rows:
-            sys.stdout.write(",".join(format_value(v) for v in row) + "\n")
+        WRITERS[args.format](sys.stdout, header, rows)
     else:
         emit_table(args.out, args.format, header, rows)
 
@@ -209,6 +212,7 @@ def _tagged_path(out, tag):
 
 def cmd_wavefunction(args):
     params = _params(args)
+    _require_finite(args, "tmax")
     state = _states(params, np.array([args.tmax]), args)[0]
     xs = state.window.sites()
     p = state.probabilities()
@@ -239,13 +243,14 @@ def cmd_survival(args):
 def cmd_sweep(args):
     if args.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {args.steps}")
+    _require_finite(args, "start", "stop", "tmax")
     values = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for v in values:
         if args.sweep_param == "dparam":
-            params = WalkParams(gamma=args.gamma, alpha=args.alpha, delocalization=float(v))
+            params = _walk(gamma=args.gamma, alpha=args.alpha, delocalization=float(v))
         else:
-            params = WalkParams(gamma=args.gamma, alpha=float(v), delocalization=args.dparam)
+            params = _walk(gamma=args.gamma, alpha=float(v), delocalization=args.dparam)
         tc = crossing_time(params.alpha)
         rows.append(
             (
@@ -328,8 +333,9 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
+    gamma = _walk(gamma=args.gamma).gamma  # rejects a non-positive or non-finite gamma
     times = (1.0, 5.0) if args.quick else None
-    kwargs = {"gamma": args.gamma}
+    kwargs = {"gamma": gamma}
     if times is not None:
         kwargs["times"] = times
     results = oracle_triangle(**kwargs)

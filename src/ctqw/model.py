@@ -29,8 +29,10 @@ class WalkParams:
     delocalization: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.delocalization <= 1.0:
             raise ValueError(
                 f"delocalization must be in [0, 1], got {self.delocalization}"

@@ -19,14 +19,13 @@ def format_value(v) -> str:
     return format(f, ".17g")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+def write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
-def write_json(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_json(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def cell(v):
         if isinstance(v, str):
             return v
@@ -36,21 +35,21 @@ def write_json(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         return f
 
     doc = {"columns": list(header), "rows": [[cell(v) for v in row] for row in rows]}
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
+
+
+WRITERS = {"csv": write_csv, "json": write_json}
 
 
 def emit_table(path, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     rows = list(rows)
     if not rows:
         raise ValueError("refusing to emit an empty table")
-    if fmt == "csv":
-        write_csv(path, header, rows)
-    elif fmt == "json":
-        write_json(path, header, rows)
-    else:
+    if fmt not in WRITERS:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w", newline="") as fh:
+        WRITERS[fmt](fh, header, rows)
 
 
 def read_csv(path):

@@ -159,6 +159,12 @@ class TestFormats:
             assert row[0] == t  # bitwise round trip
             assert row[1] == v
 
+    def test_json_on_stdout(self, capsys):
+        assert run("survival", "--format", "json", "--tmax", "1", "--npoints", "2") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["columns"] == ["t", "P_surv"]
+        assert doc["rows"][0] == [0.0, 1.0]
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "fig4.json"
         assert run("figure", "fig4", "--format", "json", "--out", str(out)) == 0
@@ -193,6 +199,16 @@ class TestConfigAndExitCodes:
     def test_config_error_exit(self):
         assert run("observables", "--npoints", "1") == 2
         assert run("observables", "--dparam", "1.5") == 2
+
+    def test_non_finite_inputs_exit_2(self, capsys):
+        assert run("survival", "--tmax", "nan") == 2
+        assert run("wavefunction", "--alpha", "inf") == 2
+        assert run("wavefunction", "--tmax", "inf") == 2
+        assert run("sweep", "--start", "nan") == 2
+        assert run("validate", "--gamma", "inf") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_numerical_failure_exit(self, tmp_path):
         code = run("wavefunction", "--source", "ode", "--half-width", "10",

@@ -33,6 +33,13 @@ class TestWalkParams:
             WalkParams(delocalization=1.2)
         with pytest.raises(ValueError):
             WalkParams(delocalization=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                WalkParams(gamma=bad)
+            with pytest.raises(ValueError):
+                WalkParams(alpha=bad)
+            with pytest.raises(ValueError):
+                WalkParams(delocalization=bad)
         WalkParams(gamma=2.0, alpha=-17.0, delocalization=1.0)  # alpha unrestricted
 
     def test_alpha_not_normalized(self):

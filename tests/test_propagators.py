@@ -5,6 +5,7 @@ import pytest
 
 from ctqw import (
     LatticeWindow,
+    NumericalValidationError,
     OdeSpec,
     RingSpec,
     UndersizedGridError,
@@ -13,6 +14,7 @@ from ctqw import (
     initial_state_position,
     observables_from_state,
     propagate_ode,
+    propagate_ode_batch,
     propagate_spectral,
     window_for,
 )
@@ -150,6 +152,95 @@ class TestOde:
         assert mean < -1.0
 
 
+GRID_ROWS = [
+    WalkParams(alpha=a, delocalization=d)
+    for d in (0.0, 0.3, 0.5, 1.0)
+    for a in (0.0, PI / 6, PI / 4, PI / 2)
+]
+
+
+class TestOdeBatch:
+    def test_rows_equal_single_runs(self):
+        window, ode, t = window_for(WalkParams(), 2.0), OdeSpec(1e-3), 2.0
+        batch = propagate_ode_batch(GRID_ROWS, window, ode, [t])
+        assert batch.shape == (1, 16, window.n_sites)
+        for params, row in zip(GRID_ROWS, batch[0]):
+            assert np.array_equal(row, propagate_ode(params, window, ode, t).amplitudes)
+
+    def test_checkpoints_equal_runs_from_zero(self):
+        # checkpoints that are multiples of the step take the same steps
+        params = WalkParams(alpha=0.9, delocalization=0.6)
+        window, ode = window_for(params, 3.0), OdeSpec(1e-3)
+        times = [0.0, 0.5, 1.25, 3.0]
+        snapshots = propagate_ode_batch([params], window, ode, times)
+        for t, snap in zip(times, snapshots):
+            assert np.array_equal(snap[0], propagate_ode(params, window, ode, t).amplitudes)
+
+    def test_checkpoints_equal_chained_restarts(self):
+        params = WalkParams(alpha=1.1, delocalization=0.37)
+        window, ode = window_for(params, 10.0), OdeSpec.default_for(params)
+        times = np.linspace(0.0, 10.0, 21)
+        snapshots = propagate_ode_batch([params], window, ode, times)
+        # restart from each snapshot, one gap at a time, by hand
+        psi, t_prev = initial_state_position(params, window).amplitudes, 0.0
+        for t, snap in zip(times, snapshots):
+            psi = _rk4_gap(params, psi, t - t_prev, ode.step)
+            t_prev = t
+            assert np.array_equal(snap[0], psi)
+
+    def test_rejects_unsorted_or_negative_times(self):
+        window, ode = LatticeWindow(50), OdeSpec(1e-3)
+        for times in ([1.0, 0.5], [-1.0, 1.0], [0.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                propagate_ode_batch([WalkParams()], window, ode, times)
+
+    def test_undersized_window_checked_at_latest_time(self):
+        window = window_for(WalkParams(), 1.0)
+        with pytest.raises(UndersizedGridError, match="t=20.0"):
+            propagate_ode_batch(GRID_ROWS, window, OdeSpec(1e-3), [1.0, 20.0])
+
+    def test_one_bad_row_trips_edge_leak(self):
+        # on the three-site window only a delocalized row has weight on the edges
+        localized = WalkParams(alpha=0.3, delocalization=0.0)
+        spread = WalkParams(alpha=0.3, delocalization=0.5)
+        window = LatticeWindow(1)
+        propagate_ode_batch([localized, localized], window, OdeSpec(1e-3), [0.0])
+        with pytest.raises(NumericalValidationError, match="edge-site.*delocalization=0.5"):
+            propagate_ode_batch([localized, spread, localized], window, OdeSpec(1e-3), [0.0])
+
+    def test_one_bad_row_trips_norm_drift(self):
+        # a coarse step is harmless at gamma = 1 and unstable at gamma = 40
+        slow = WalkParams(gamma=1.0, delocalization=0.5)
+        fast = WalkParams(gamma=40.0, delocalization=0.5)
+        window, ode = LatticeWindow(400), OdeSpec(0.01)
+        propagate_ode_batch([slow, slow], window, ode, [0.1, 0.2])
+        with pytest.raises(NumericalValidationError, match="norm drift.*gamma=40.0"):
+            propagate_ode_batch([slow, fast], window, ode, [0.1, 0.2])
+
+
+def _rk4_gap(params, psi, gap, step):
+    """The seed's single-trajectory RK4 loop over one gap, as a reference."""
+    hop_left = 1j * params.gamma * np.exp(1j * params.alpha)
+    hop_right = 1j * params.gamma * np.exp(-1j * params.alpha)
+
+    def rhs(p):
+        out = np.zeros_like(p)
+        out[1:] = hop_left * p[:-1]
+        out[:-1] += hop_right * p[1:]
+        return out
+
+    psi = psi.copy()
+    n_full = int(math.floor(gap / step + 1e-12))
+    last = gap - n_full * step
+    for h in [step] * n_full + ([last] if last > 1e-15 * max(gap, 1.0) else []):
+        k1 = rhs(psi)
+        k2 = rhs(psi + 0.5 * h * k1)
+        k3 = rhs(psi + 0.5 * h * k2)
+        k4 = rhs(psi + h * k3)
+        psi += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return psi
+
+
 def test_oracle_triangle_point():
     # one full three-way comparison at a biased parameter point
     params = WalkParams(alpha=PI / 4, delocalization=0.3)
@@ -160,3 +251,18 @@ def test_oracle_triangle_point():
     p_ode = propagate_ode(params, window, OdeSpec.default_for(params), t).probabilities()
     assert np.abs(p_exact - p_spec).max() < 1e-10
     assert np.abs(p_exact - p_ode).max() < 1e-8
+
+
+def test_oracle_triangle_checks_each_time_window(monkeypatch):
+    # RK4 runs once on the window of the latest time; an undersized window
+    # for an earlier time must still be caught
+    from ctqw import validate
+
+    real_window_for = validate.window_for
+
+    def window_for_small_at_t1(params, t):
+        return LatticeWindow(5) if t == 1.0 else real_window_for(params, t)
+
+    monkeypatch.setattr(validate, "window_for", window_for_small_at_t1)
+    with pytest.raises(NumericalValidationError, match="t=1 "):
+        validate.oracle_triangle(times=(1.0, 2.0), d_values=(0.5,), alphas=(0.0,))
