@@ -26,25 +26,34 @@ from .propagators import OdeSpec, RingSpec, propagate_ode_batch, propagate_spect
 from .tables import WRITERS, emit_table
 from .validate import oracle_triangle
 
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5")
-
 
 class ConfigError(Exception):
     pass
 
 
+def _finite(text):
+    """argparse type for every float flag: nan and +-inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="flat key=value file; flags override it")
-    parser.add_argument("--gamma", type=float, default=1.0, help="hopping rate (>0)")
-    parser.add_argument("--alpha", type=float, default=0.0, help="hopping phase (radians)")
-    parser.add_argument("--dparam", type=float, default=0.0, help="delocalization D in [0,1]")
+    parser.add_argument("--gamma", type=_finite, default=1.0, help="hopping rate (>0)")
+    parser.add_argument("--alpha", type=_finite, default=0.0, help="hopping phase (radians)")
+    parser.add_argument("--dparam", type=_finite, default=0.0, help="delocalization D in [0,1]")
     parser.add_argument("--out", help="output path (default: stdout for single tables)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_grid(parser):
-    parser.add_argument("--tmin", type=float, default=0.0, help="first grid time")
-    parser.add_argument("--tmax", type=float, default=50.0, help="last grid time")
+    parser.add_argument("--tmin", type=_finite, default=0.0, help="first grid time")
+    parser.add_argument("--tmax", type=_finite, default=50.0, help="last grid time")
     parser.add_argument("--npoints", type=int, default=51, help="grid points (>=2)")
     parser.add_argument("--spacing", choices=("lin", "log"), default="lin")
 
@@ -55,7 +64,7 @@ def _add_numerics(parser):
                         help="override the lattice window half width")
     parser.add_argument("--ring-size", type=int, default=None,
                         help="override the spectral ring size")
-    parser.add_argument("--step", type=float, default=None,
+    parser.add_argument("--step", type=_finite, default=None,
                         help="override the RK4 time step (default 1e-3/gamma)")
 
 
@@ -71,7 +80,7 @@ def build_parser():
     p = sub.add_parser("wavefunction", help="site-resolved wavefunction at one time")
     _add_common(p)
     _add_numerics(p)
-    p.add_argument("--tmax", type=float, default=50.0, help="evaluation time")
+    p.add_argument("--tmax", type=_finite, default=50.0, help="evaluation time")
 
     p = sub.add_parser("observables", help="mean position, MSD and survival on a time grid")
     _add_common(p)
@@ -85,29 +94,33 @@ def build_parser():
     p = sub.add_parser("sweep", help="closed-form observables over a parameter sweep")
     _add_common(p)
     p.add_argument("--sweep-param", choices=("dparam", "alpha"), default="dparam")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=1.0)
+    p.add_argument("--start", type=_finite, default=0.0)
+    p.add_argument("--stop", type=_finite, default=1.0)
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--tmax", type=float, default=50.0, help="time for the MSD column")
+    p.add_argument("--tmax", type=_finite, default=50.0, help="time for the MSD column")
 
     p = sub.add_parser("figure", help="emit the data behind one of the five figures")
-    p.add_argument("figure_id", choices=FIGURE_IDS)
+    p.add_argument("figure_id", choices=FIGURES)
     _add_common(p)
 
     p = sub.add_parser("validate", help="closed form vs spectral and RK4 propagation")
     p.add_argument("--config", help="flat key=value file; flags override it")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=1.0)
     p.add_argument("--quick", action="store_true", help="reduced time grid (gt = 1, 5)")
     return parser
 
 
-def load_config(path, args, argv):
-    """Apply key=value pairs from a config file; explicit flags win."""
+def load_config(path, args):
+    """Turn the key=value lines of a config file into --key=value tokens.
+
+    The tokens are parsed by the same argparse subparser as the command
+    line, ahead of it, so flags override the file.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    tokens = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,49 +129,35 @@ def load_config(path, args, argv):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("command", "config"):
+        if not hasattr(args, dest) or dest in ("command", "config", "figure_id"):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if "--" + key.replace("_", "-") in given or "--" + key in given:
-            continue
-        current = getattr(args, dest)
-        try:
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            elif current is None and dest in ("half_width", "ring_size"):
-                value = int(value)
-            elif current is None and dest == "step":
-                value = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):
+            if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise ConfigError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
+            tokens += [flag] if value.lower() in ("1", "true", "yes") else []
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _walk(**kwargs) -> WalkParams:
+def _spec(cls, *values, **fields):
+    """Build a parameter or grid spec; its ValueError is a config error."""
     try:
-        return WalkParams(**kwargs)
+        return cls(*values, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _params(args) -> WalkParams:
-    return _walk(gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
-
-
-def _require_finite(args, *names):
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
+    return _spec(WalkParams, gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
 
 
 def _time_grid(args) -> np.ndarray:
     if args.npoints < 2:
         raise ConfigError(f"npoints must be >= 2, got {args.npoints}")
-    _require_finite(args, "tmin", "tmax")
+    if args.tmin < 0:
+        raise ConfigError(f"tmin must be >= 0, got {args.tmin}")
     if args.tmax <= args.tmin:
         raise ConfigError("tmax must exceed tmin")
     if args.spacing == "log":
@@ -169,20 +168,20 @@ def _time_grid(args) -> np.ndarray:
 
 
 def _window(params, t_max, args) -> LatticeWindow:
-    if getattr(args, "half_width", None) is not None:
-        return LatticeWindow(args.half_width)
+    if args.half_width is not None:
+        return _spec(LatticeWindow, args.half_width)
     return window_for(params, t_max)
 
 
 def _ring(params, t_max, args) -> RingSpec:
-    if getattr(args, "ring_size", None) is not None:
-        return RingSpec(args.ring_size)
+    if args.ring_size is not None:
+        return _spec(RingSpec, args.ring_size)
     return RingSpec.for_run(params, t_max)
 
 
 def _ode(params, args) -> OdeSpec:
-    if getattr(args, "step", None) is not None:
-        return OdeSpec(step=args.step)
+    if args.step is not None:
+        return _spec(OdeSpec, step=args.step)
     return OdeSpec.default_for(params)
 
 
@@ -210,17 +209,29 @@ def _tagged_path(out, tag):
     return str(p.with_name(f"{p.stem}_{tag}{p.suffix}"))
 
 
+_WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
+
+
+def _wavefunction_rows(state):
+    p = state.probabilities()
+    return [
+        (int(x), p[i], state.amplitudes[i].real, state.amplitudes[i].imag)
+        for i, x in enumerate(state.window.sites())
+    ]
+
+
+def _t_cross(alpha):
+    """Crossing time, with inf standing for "no crossing"."""
+    tc = crossing_time(alpha)
+    return math.inf if tc is None else tc
+
+
 def cmd_wavefunction(args):
     params = _params(args)
-    _require_finite(args, "tmax")
+    if args.tmax < 0:
+        raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
     state = _states(params, np.array([args.tmax]), args)[0]
-    xs = state.window.sites()
-    p = state.probabilities()
-    rows = [
-        (int(x), p[i], state.amplitudes[i].real, state.amplitudes[i].imag)
-        for i, x in enumerate(xs)
-    ]
-    _emit(args, ["x", "prob", "re_psi", "im_psi"], rows)
+    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(state))
     return 0
 
 
@@ -243,102 +254,81 @@ def cmd_survival(args):
 def cmd_sweep(args):
     if args.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {args.steps}")
-    _require_finite(args, "start", "stop", "tmax")
-    values = np.linspace(args.start, args.stop, args.steps)
     rows = []
-    for v in values:
-        if args.sweep_param == "dparam":
-            params = _walk(gamma=args.gamma, alpha=args.alpha, delocalization=float(v))
-        else:
-            params = _walk(gamma=args.gamma, alpha=float(v), delocalization=args.dparam)
-        tc = crossing_time(params.alpha)
-        rows.append(
-            (
-                float(v),
-                mean_velocity(params),
-                math.inf if tc is None else tc,
-                msd_closed_form(params, args.tmax),
-            )
-        )
+    for v in np.linspace(args.start, args.stop, args.steps):
+        d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
+        params = _spec(WalkParams, gamma=args.gamma, alpha=a, delocalization=d)
+        tc = _t_cross(params.alpha)
+        rows.append((float(v), mean_velocity(params), tc, msd_closed_form(params, args.tmax)))
     _emit(args, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows)
     return 0
 
 
-def _figure_panels(args, tags, header, row_maker):
-    for tag in tags:
-        emit_table(_tagged_path(args.out, tag), args.format, header, row_maker(tag))
+# Each figure builder yields its panels as (tag or None, header, rows); a
+# tagged panel goes to the --out path with _<tag> before the suffix.
+_D_TAGS = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
+
+
+def _fig1():
+    # Probability distributions, alpha = pi/2 at gamma*t = 50.
+    for tag, d in _D_TAGS.items():
+        params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
+        state = analytic_wavefunction(params, window_for(params, 50.0), 50.0)
+        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(state)
+
+
+def _fig2():
+    # |<v_g>/gamma| vs D for several phases.
+    alphas = [(f"pi{n}", math.pi / n) for n in (6, 4, 3, 2)]
+    rows = [
+        (d, *(abs(mean_velocity(WalkParams(alpha=a, delocalization=d))) for _, a in alphas))
+        for d in np.linspace(0.0, 1.0, 201)
+    ]
+    yield None, ["d"] + [f"absv_a_{n}" for n, _ in alphas], rows
+
+
+def _fig3():
+    # MSD vs time for alpha in {0, pi/2} and D in {0, 0.5, 1}.
+    ts = np.linspace(0.0, 5.0, 501)
+    combos = [(a, d) for a in (0.0, math.pi / 2) for d in (0.0, 0.5, 1.0)]
+    cols = [msd_closed_form(WalkParams(alpha=a, delocalization=d), ts) for a, d in combos]
+    header = ["t", "msd_a0_d0", "msd_a0_d05", "msd_a0_d1",
+              "msd_api2_d0", "msd_api2_d05", "msd_api2_d1"]
+    yield None, header, list(zip(ts, *cols))
+
+
+def _fig4():
+    # Crossing time vs phase over [0, pi], step pi/200.
+    alphas = np.arange(201) * (math.pi / 200.0)
+    yield None, ["alpha", "t_cross"], [(float(a), _t_cross(float(a))) for a in alphas]
+
+
+def _fig5():
+    # Survival probability on a log-log grid, alpha = pi/2.
+    ts = np.geomspace(0.1, 500.0, 200)
+    for tag, d in _D_TAGS.items():
+        params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
+        exact = survival_exact(params, ts).values
+        asym = survival_asymptotic(params, ts)
+        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, exact, asym))
+
+
+FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
 
 
 def cmd_figure(args):
     if args.out is None:
         raise ConfigError("figure requires --out (panel files derive from it)")
-    d_tags = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
-
-    if args.figure_id == "fig1":
-        # Probability distributions, alpha = pi/2 at gamma*t = 50.
-        def rows(tag):
-            params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d_tags[tag])
-            state = analytic_wavefunction(params, window_for(params, 50.0), 50.0)
-            p = state.probabilities()
-            return [
-                (int(x), p[i], state.amplitudes[i].real, state.amplitudes[i].imag)
-                for i, x in enumerate(state.window.sites())
-            ]
-
-        _figure_panels(args, d_tags, ["x", "prob", "re_psi", "im_psi"], rows)
-
-    elif args.figure_id == "fig2":
-        # |<v_g>/gamma| vs D for several phases.
-        alphas = [("pi6", math.pi / 6), ("pi4", math.pi / 4), ("pi3", math.pi / 3), ("pi2", math.pi / 2)]
-        ds = np.linspace(0.0, 1.0, 201)
-        rows = [
-            (d, *(abs(mean_velocity(WalkParams(alpha=a, delocalization=d))) for _, a in alphas))
-            for d in ds
-        ]
-        emit_table(args.out, args.format, ["d"] + [f"absv_a_{n}" for n, _ in alphas], rows)
-
-    elif args.figure_id == "fig3":
-        # MSD vs time for alpha in {0, pi/2} and D in {0, 0.5, 1}.
-        ts = np.linspace(0.0, 5.0, 501)
-        combos = [(a, d) for a in (0.0, math.pi / 2) for d in (0.0, 0.5, 1.0)]
-        cols = [
-            msd_closed_form(WalkParams(alpha=a, delocalization=d), ts) for a, d in combos
-        ]
-        header = ["t", "msd_a0_d0", "msd_a0_d05", "msd_a0_d1",
-                  "msd_api2_d0", "msd_api2_d05", "msd_api2_d1"]
-        emit_table(args.out, args.format, header, list(zip(ts, *cols)))
-
-    elif args.figure_id == "fig4":
-        # Crossing time vs phase over [0, pi], step pi/200.
-        alphas = np.arange(201) * (math.pi / 200.0)
-        rows = []
-        for a in alphas:
-            tc = crossing_time(float(a))
-            rows.append((float(a), math.inf if tc is None else tc))
-        emit_table(args.out, args.format, ["alpha", "t_cross"], rows)
-
-    elif args.figure_id == "fig5":
-        # Survival probability on a log-log grid, alpha = pi/2.
-        ts = np.geomspace(0.1, 500.0, 200)
-
-        def rows(tag):
-            params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d_tags[tag])
-            exact = survival_exact(params, ts).values
-            asym = survival_asymptotic(params, ts)
-            return list(zip(ts, exact, asym))
-
-        _figure_panels(args, d_tags, ["t", "P_surv_exact", "P_asymptotic"], rows)
-
+    for tag, header, rows in FIGURES[args.figure_id]():
+        path = args.out if tag is None else _tagged_path(args.out, tag)
+        emit_table(path, args.format, header, rows)
     return 0
 
 
 def cmd_validate(args):
-    gamma = _walk(gamma=args.gamma).gamma  # rejects a non-positive or non-finite gamma
-    times = (1.0, 5.0) if args.quick else None
-    kwargs = {"gamma": gamma}
-    if times is not None:
-        kwargs["times"] = times
-    results = oracle_triangle(**kwargs)
+    gamma = _spec(WalkParams, gamma=args.gamma).gamma  # rejects a non-positive gamma
+    kwargs = {"times": (1.0, 5.0)} if args.quick else {}
+    results = oracle_triangle(gamma=gamma, **kwargs)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"
@@ -360,11 +350,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            load_config(args.config, args, argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            # argv[0] is the subcommand; the file's tokens go before every flag
+            args = parser.parse_args(argv[:1] + load_config(args.config, args) + argv[1:])
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a bad argv
+        return exc.code
     except ConfigError as exc:
         print(f"ctqw: config error: {exc}", file=sys.stderr)
         return 2

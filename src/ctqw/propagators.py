@@ -50,11 +50,6 @@ class RingSpec:
         need = 2 * light_cone_half_width(params.gamma, abs(t_max)) + 3
         return cls(size=1 << max(2, math.ceil(math.log2(need))))
 
-    def momenta(self) -> np.ndarray:
-        """Ring momenta 2 pi j / N mapped into (-pi, pi]."""
-        k = 2.0 * math.pi * np.arange(self.size) / self.size
-        return np.where(k > math.pi, k - 2.0 * math.pi, k)
-
     def validate_for(self, params: WalkParams, t: float) -> None:
         # at t = 0 nothing propagates; any ring holding the seed state works
         need = 3 if t == 0.0 else 2 * light_cone_half_width(params.gamma, abs(t)) + 3

@@ -190,6 +190,15 @@ class TestConfigAndExitCodes:
         assert run("survival", "--config", str(cfg), "--dparam", "0", "--out", str(out)) == 0
         _, rows = read_csv(out)
         assert rows[1][1] == pytest.approx(0.7153500887488747, abs=1e-13)
+        # an abbreviated flag wins as well: the table is the --dparam 0.2 one, bit for bit
+        cfg.write_text("dparam = 0.9\ntmax = 1\nnpoints = 2\n")
+        abbrev, full, filed = (tmp_path / f"{n}.csv" for n in ("abbrev", "full", "filed"))
+        assert run("survival", "--config", str(cfg), "--dpar", "0.2", "--out", str(abbrev)) == 0
+        assert run("survival", "--dparam", "0.2", "--tmax", "1", "--npoints", "2",
+                   "--out", str(full)) == 0
+        assert run("survival", "--config", str(cfg), "--out", str(filed)) == 0
+        assert abbrev.read_bytes() == full.read_bytes()
+        assert filed.read_bytes() != full.read_bytes()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -210,6 +219,12 @@ class TestConfigAndExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    def test_argparse_status_is_returned(self, capsys):
+        assert run("--version") == 0
+        assert run("survival", "--no-such-flag") == 2
+        assert run() == 2
+        assert capsys.readouterr().out.startswith("ctqw ")
+
     def test_numerical_failure_exit(self, tmp_path):
         code = run("wavefunction", "--source", "ode", "--half-width", "10",
                    "--tmax", "20", "--out", str(tmp_path / "x.csv"))
@@ -220,5 +235,63 @@ class TestConfigAndExitCodes:
         assert code == 1
 
 
+SOURCES = ("analytic", "spectral", "ode")
+GRID = ["--tmax", "1", "--npoints", "2"]
+
+# (config file text or None, argv, expected piece of the error message)
+BAD_INPUTS = [
+    # config values go through the same types and choices as flags
+    ("source = bogus", ["observables", *GRID], "invalid choice: 'bogus'"),
+    ("spacing = cubic", ["survival", "--tmin", "1", "--tmax", "2"], "invalid choice: 'cubic'"),
+    ("sweep_param = gamma", ["sweep", "--steps", "2"], "invalid choice: 'gamma'"),
+    ("figure_id = fig9", ["figure", "fig4"], "unknown key 'figure_id'"),
+    ("format = xml", ["survival", *GRID], "invalid choice: 'xml'"),
+    ("quick = maybe", ["validate"], "quick must be true or false"),
+    ("dparam = nan", ["survival", *GRID], "expected a finite number"),
+    # grid and step specs
+    (None, ["wavefunction", "--source", "ode", "--tmax", "1", "--step", "0"], "step must be"),
+    ("step = 0", ["observables", "--source", "ode", *GRID], "step must be"),
+    (None, ["wavefunction", "--tmax", "1", "--half-width", "0"], "half_width must be"),
+    ("half_width = 0", ["observables", *GRID], "half_width must be"),
+    (None, ["wavefunction", "--source", "spectral", "--tmax", "1", "--ring-size", "2"],
+     "ring size must be"),
+    ("ring_size = 2", ["observables", "--source", "spectral", *GRID], "ring size must be"),
+    # negative times, for every source
+    (None, ["survival", "--tmin", "-1", *GRID], "tmin must be >= 0"),
+    ("tmin = -1", ["survival", *GRID], "tmin must be >= 0"),
+    *[(None, ["observables", "--source", s, "--tmin", "-1", *GRID], "tmin must be >= 0")
+      for s in SOURCES],
+    *[(None, ["wavefunction", "--source", s, "--tmax", "-1"], "tmax must be >= 0")
+      for s in SOURCES],
+    ("tmax = -1", ["wavefunction", "--source", "spectral"], "tmax must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, argv, message", BAD_INPUTS,
+    ids=[f"{a[0]}-" + (c or " ".join(a[1:])).replace(" = ", "=").replace(" ", "_")
+         for c, a, _ in BAD_INPUTS],
+)
+def test_bad_input_exits_2(tmp_path, capsys, config, argv, message):
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert message in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
 def test_validate_quick():
     assert run("validate", "--quick") == 0
+
+
+def test_validate_quick_from_config(tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("quick = true\n")
+    assert run("validate", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "64/64 checks passed"

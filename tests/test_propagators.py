@@ -28,12 +28,6 @@ class TestRingSpec:
         assert ring.size >= 2 * 140 + 3
         assert ring.size & (ring.size - 1) == 0  # power of two
 
-    def test_momenta_in_half_open_zone(self):
-        k = RingSpec(16).momenta()
-        assert np.all(k > -PI)
-        assert np.all(k <= PI)
-        assert len(np.unique(k)) == 16
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RingSpec(2)
