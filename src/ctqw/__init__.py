@@ -6,13 +6,14 @@ __version__ = "0.1.0"
 
 from .analytic import (
     SurvivalCurve,
+    analytic_amplitudes,
     analytic_probability,
     analytic_wavefunction,
     is_fine_tuned,
     survival_asymptotic,
     survival_exact,
 )
-from .bessel import bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_row_batch, bessel_rows
 from .model import (
     LatticeWindow,
     NumericalValidationError,
@@ -44,12 +45,14 @@ from .validate import oracle_triangle
 
 __all__ = [
     "SurvivalCurve",
+    "analytic_amplitudes",
     "analytic_probability",
     "analytic_wavefunction",
     "is_fine_tuned",
     "survival_asymptotic",
     "survival_exact",
     "bessel_row",
+    "bessel_row_batch",
     "bessel_rows",
     "LatticeWindow",
     "NumericalValidationError",

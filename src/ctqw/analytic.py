@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bessel import bessel_row, bessel_rows
+from .bessel import bessel_row_batch, bessel_rows
 from .model import LatticeWindow, UndersizedGridError, WalkParams, WaveState
 
 # Norm deficit above this signals a truncated light cone, not rounding.
@@ -45,30 +45,43 @@ class SurvivalCurve:
     params: Optional[WalkParams] = None
 
 
-def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> WaveState:
-    """Exact wavefunction on the window at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    z = 2.0 * params.gamma * t
-    row = bessel_row(z, window.half_width + 1)
+def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.ndarray:
+    """Exact amplitudes on the window at each time >= 0; shape (len(times), n_sites).
+
+    One Bessel recurrence serves every time; each row equals the one-time
+    evaluation bit for bit.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"time must be nonnegative, got {times[times < 0][0]}")
+    rows = bessel_row_batch(2.0 * params.gamma * times, window.half_width + 1)
     # i^n J_n for n >= 0; note i^{-n} J_{-n} = i^n J_n, so negative
     # orders reuse the same values.
-    jt = _I_POW[np.arange(window.half_width + 2) % 4] * row
+    i_pow = _I_POW[np.arange(window.half_width + 2) % 4]
 
     xs = window.sites()
     d = params.delocalization
     a = params.alpha
-    psi = np.exp(1j * a * xs) * (
-        math.sqrt(1.0 - d) * jt[np.abs(xs)]
-        + math.sqrt(d / 2.0)
-        * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
-    )
-    deficit = abs(np.sum(np.abs(psi) ** 2) - 1.0)
-    if deficit > _NORM_REJECT:
-        raise UndersizedGridError(
-            f"window half_width={window.half_width} leaks norm {deficit:.3e} at t={t}"
+    phase = np.exp(1j * a * xs)
+    psi = np.empty((times.size, window.n_sites), dtype=complex)
+    for i, t in enumerate(times):
+        jt = i_pow * rows[:, i]
+        psi[i] = phase * (
+            math.sqrt(1.0 - d) * jt[np.abs(xs)]
+            + math.sqrt(d / 2.0)
+            * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
         )
-    return WaveState(time=t, window=window, amplitudes=psi)
+        deficit = abs(np.sum(np.abs(psi[i]) ** 2) - 1.0)
+        if deficit > _NORM_REJECT:
+            raise UndersizedGridError(
+                f"window half_width={window.half_width} leaks norm {deficit:.3e} at t={t}"
+            )
+    return psi
+
+
+def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> WaveState:
+    """Exact wavefunction on the window at time t >= 0."""
+    return WaveState(time=t, window=window, amplitudes=analytic_amplitudes(params, window, [t])[0])
 
 
 def analytic_probability(params: WalkParams, window: LatticeWindow, t: float) -> np.ndarray:

@@ -6,25 +6,37 @@ validation failure.
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analytic import analytic_wavefunction, survival_asymptotic, survival_exact
+from .analytic import (
+    analytic_amplitudes,
+    analytic_wavefunction,
+    survival_asymptotic,
+    survival_exact,
+)
 from .model import (
     NumericalValidationError,
     UndersizedGridError,
     LatticeWindow,
     WalkParams,
     WaveState,
+    light_cone_half_width,
     window_for,
 )
 from .observables import crossing_time, mean_velocity, msd_closed_form, series_from_states
 from .propagators import OdeSpec, RingSpec, propagate_ode_batch, propagate_spectral
 from .tables import WRITERS, emit_table
-from .validate import oracle_triangle
+from .validate import GRID_T, oracle_triangle
+
+# Largest window half width or ring a run may ask for, about 1000x the
+# largest grid in the README or the benchmark. Past it the Bessel
+# recurrence, the lattice and the ring outgrow any run's time and memory.
+MAX_SITES = 10**6
 
 
 class ConfigError(Exception):
@@ -107,6 +119,11 @@ def build_parser():
     p.add_argument("--config", help="flat key=value file; flags override it")
     p.add_argument("--gamma", type=_finite, default=1.0)
     p.add_argument("--quick", action="store_true", help="reduced time grid (gt = 1, 5)")
+
+    # argparse reads only -1 and -.5 style tokens as negative numbers; make
+    # "--alpha -1e-3" a value too (a token like -inf still reads as a flag)
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -149,6 +166,20 @@ def _spec(cls, *values, **fields):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_sites(what, needed):
+    if needed > MAX_SITES:
+        raise ConfigError(f"{what} {needed} sites, over the limit of {MAX_SITES}")
+
+
+def _check_reach(gamma, t_max):
+    """Reject a run whose light cone at t_max needs more than MAX_SITES sites."""
+    from decimal import Context, Decimal  # here, to keep it out of the import time
+
+    front = (2 * Decimal(gamma) * Decimal(t_max)).normalize(Context(4))  # no float overflow
+    needed = light_cone_half_width(gamma, t_max) if front <= MAX_SITES else front
+    _check_sites(f"t={t_max:g} at gamma={gamma:g} needs a window half width of", needed)
+
+
 def _params(args) -> WalkParams:
     return _spec(WalkParams, gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
 
@@ -160,6 +191,7 @@ def _time_grid(args) -> np.ndarray:
         raise ConfigError(f"tmin must be >= 0, got {args.tmin}")
     if args.tmax <= args.tmin:
         raise ConfigError("tmax must exceed tmin")
+    _check_reach(args.gamma, args.tmax)
     if args.spacing == "log":
         if args.tmin <= 0:
             raise ConfigError("log spacing requires tmin > 0")
@@ -169,12 +201,14 @@ def _time_grid(args) -> np.ndarray:
 
 def _window(params, t_max, args) -> LatticeWindow:
     if args.half_width is not None:
+        _check_sites("--half-width asks for", args.half_width)
         return _spec(LatticeWindow, args.half_width)
     return window_for(params, t_max)
 
 
 def _ring(params, t_max, args) -> RingSpec:
     if args.ring_size is not None:
+        _check_sites("--ring-size asks for", args.ring_size)
         return _spec(RingSpec, args.ring_size)
     return RingSpec.for_run(params, t_max)
 
@@ -188,13 +222,14 @@ def _ode(params, args) -> OdeSpec:
 def _states(params, times, args):
     t_max = float(np.max(times))
     window = _window(params, t_max, args)
-    if args.source == "analytic":
-        return [analytic_wavefunction(params, window, t) for t in times]
     if args.source == "spectral":
         ring = _ring(params, t_max, args)
         return [propagate_spectral(params, ring, t, window) for t in times]
-    snapshots = propagate_ode_batch([params], window, _ode(params, args), times)
-    return [WaveState(time=t, window=window, amplitudes=a[0]) for t, a in zip(times, snapshots)]
+    if args.source == "analytic":
+        amplitudes = analytic_amplitudes(params, window, times)
+    else:
+        amplitudes = propagate_ode_batch([params], window, _ode(params, args), times)[:, 0]
+    return [WaveState(time=t, window=window, amplitudes=a) for t, a in zip(times, amplitudes)]
 
 
 def _emit(args, header, rows):
@@ -230,6 +265,7 @@ def cmd_wavefunction(args):
     params = _params(args)
     if args.tmax < 0:
         raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
+    _check_reach(params.gamma, args.tmax)
     state = _states(params, np.array([args.tmax]), args)[0]
     _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(state))
     return 0
@@ -327,8 +363,9 @@ def cmd_figure(args):
 
 def cmd_validate(args):
     gamma = _spec(WalkParams, gamma=args.gamma).gamma  # rejects a non-positive gamma
-    kwargs = {"times": (1.0, 5.0)} if args.quick else {}
-    results = oracle_triangle(gamma=gamma, **kwargs)
+    times = (1.0, 5.0) if args.quick else GRID_T
+    _check_reach(gamma, max(times))
+    results = oracle_triangle(times=times, gamma=gamma)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"

@@ -9,6 +9,7 @@ from ctqw import (
     LatticeWindow,
     UndersizedGridError,
     WalkParams,
+    analytic_amplitudes,
     analytic_probability,
     analytic_wavefunction,
     initial_state_position,
@@ -93,6 +94,21 @@ class TestWavefunction:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             analytic_wavefunction(WalkParams(), LatticeWindow(50), -1.0)
+
+    def test_time_vector_rows_equal_one_time_evaluations(self):
+        params = WalkParams(gamma=1.3, alpha=0.7, delocalization=0.35)
+        times = np.array([12.5, 0.0, 40.0, 1e-9, 3.25, 40.0, 0.1])
+        window = window_for(params, 40.0)
+        psi = analytic_amplitudes(params, window, times)
+        assert psi.shape == (times.size, window.n_sites)
+        for row, t in zip(psi, times):
+            assert np.array_equal(row, analytic_wavefunction(params, window, t).amplitudes)
+
+    def test_time_vector_names_first_undersized_time(self):
+        with pytest.raises(UndersizedGridError, match=r"at t=20\.0$"):
+            analytic_amplitudes(WalkParams(), LatticeWindow(10), [1.0, 20.0, 0.0, 30.0])
+        with pytest.raises(ValueError, match="got -1.0"):
+            analytic_amplitudes(WalkParams(), LatticeWindow(50), [1.0, -1.0, 2.0])
 
 
 class TestSurvivalExact:

@@ -219,6 +219,15 @@ class TestConfigAndExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    def test_negative_number_in_exponent_notation(self, tmp_path, capsys):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run("survival", "--alpha", "-1e-3", *GRID, "--out", str(spaced)) == 0
+        assert run("survival", "--alpha=-1e-3", *GRID, "--out", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert run("wavefunction", "--alpha", "-2.5E+0", "--tmax", "1") == 0
+        assert run("wavefunction", "--alpha", "-inf") == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_argparse_status_is_returned(self, capsys):
         assert run("--version") == 0
         assert run("survival", "--no-such-flag") == 2
@@ -264,6 +273,20 @@ BAD_INPUTS = [
     *[(None, ["wavefunction", "--source", s, "--tmax", "-1"], "tmax must be >= 0")
       for s in SOURCES],
     ("tmax = -1", ["wavefunction", "--source", "spectral"], "tmax must be >= 0"),
+    # sizes past MAX_SITES are refused before anything is allocated or looped over
+    (None, ["survival", "--tmax", "1e308", "--npoints", "2"], "half width of 2E+308 sites"),
+    (None, ["survival", "--tmax", "1e9", "--npoints", "2"], "half width of 2E+9 sites"),
+    (None, ["wavefunction", "--tmax", "1e300"], "half width of 2E+300 sites"),
+    (None, ["wavefunction", "--tmax", "1e7"], "half width of 2E+7 sites"),
+    (None, ["wavefunction", "--gamma", "1e300", "--tmax", "1e300"], "2E+600 sites"),
+    (None, ["wavefunction", "--tmax", "499800"], "half width of 1000200 sites"),
+    *[(None, ["observables", "--source", s, "--tmax", "1e9"], "over the limit of 1000000")
+      for s in SOURCES],
+    ("tmax = 1e9", ["observables", "--source", "ode"], "over the limit of 1000000"),
+    (None, ["validate", "--gamma", "1e5"], "t=50 at gamma=100000"),
+    (None, ["observables", "--half-width", "1000001", *GRID], "--half-width asks for 1000001"),
+    ("ring_size = 4194304", ["observables", "--source", "spectral", *GRID],
+     "--ring-size asks for 4194304 sites, over the limit of 1000000"),
 ]
 
 
