@@ -28,7 +28,6 @@ from .model import (
     window_for,
 )
 from .observables import (
-    ObservableSeries,
     OrderingReport,
     PowerLawFit,
     backfire_ordering,
@@ -36,11 +35,18 @@ from .observables import (
     fit_power_law,
     mean_velocity,
     msd_closed_form,
+    observables_from_amplitudes,
     observables_from_state,
-    series_from_states,
     smoothed_survival,
 )
-from .propagators import OdeSpec, RingSpec, propagate_ode, propagate_ode_batch, propagate_spectral
+from .propagators import (
+    OdeSpec,
+    RingSpec,
+    propagate_ode,
+    propagate_ode_batch,
+    propagate_spectral,
+    spectral_amplitudes,
+)
 from .validate import oracle_triangle
 
 __all__ = [
@@ -65,7 +71,6 @@ __all__ = [
     "initial_state_position",
     "light_cone_half_width",
     "window_for",
-    "ObservableSeries",
     "OrderingReport",
     "PowerLawFit",
     "backfire_ordering",
@@ -73,13 +78,14 @@ __all__ = [
     "fit_power_law",
     "mean_velocity",
     "msd_closed_form",
+    "observables_from_amplitudes",
     "observables_from_state",
-    "series_from_states",
     "smoothed_survival",
     "OdeSpec",
     "RingSpec",
     "propagate_ode",
     "propagate_ode_batch",
     "propagate_spectral",
+    "spectral_amplitudes",
     "oracle_triangle",
 ]

@@ -23,10 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bessel import bessel_row_batch, bessel_rows
-from .model import LatticeWindow, UndersizedGridError, WalkParams, WaveState
-
-# Norm deficit above this signals a truncated light cone, not rounding.
-_NORM_REJECT = 1e-10
+from .model import LatticeWindow, WalkParams, WaveState, check_norm_deficit
 
 # i^n by n mod 4; exact phases, no complex exponentiation.
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -64,18 +61,14 @@ def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.
     a = params.alpha
     phase = np.exp(1j * a * xs)
     psi = np.empty((times.size, window.n_sites), dtype=complex)
-    for i, t in enumerate(times):
+    for i in range(times.size):
         jt = i_pow * rows[:, i]
         psi[i] = phase * (
             math.sqrt(1.0 - d) * jt[np.abs(xs)]
             + math.sqrt(d / 2.0)
             * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
         )
-        deficit = abs(np.sum(np.abs(psi[i]) ** 2) - 1.0)
-        if deficit > _NORM_REJECT:
-            raise UndersizedGridError(
-                f"window half_width={window.half_width} leaks norm {deficit:.3e} at t={t}"
-            )
+    check_norm_deficit(window, psi, times)
     return psi
 
 

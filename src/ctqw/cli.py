@@ -24,12 +24,11 @@ from .model import (
     UndersizedGridError,
     LatticeWindow,
     WalkParams,
-    WaveState,
     light_cone_half_width,
     window_for,
 )
-from .observables import crossing_time, mean_velocity, msd_closed_form, series_from_states
-from .propagators import OdeSpec, RingSpec, propagate_ode_batch, propagate_spectral
+from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
+from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
 from .tables import WRITERS, emit_table
 from .validate import GRID_T, oracle_triangle
 
@@ -37,6 +36,9 @@ from .validate import GRID_T, oracle_triangle
 # largest grid in the README or the benchmark. Past it the Bessel
 # recurrence, the lattice and the ring outgrow any run's time and memory.
 MAX_SITES = 10**6
+# Largest (times x sites) amplitude matrix, 512 MiB of complex: about 80x the
+# largest grid in the README or the benchmark, and one wavefunction at MAX_SITES.
+MAX_AMPLITUDES = 2**25
 
 
 class ConfigError(Exception):
@@ -184,19 +186,20 @@ def _params(args) -> WalkParams:
     return _spec(WalkParams, gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
 
 
-def _time_grid(args) -> np.ndarray:
+def _check_grid(args):
     if args.npoints < 2:
         raise ConfigError(f"npoints must be >= 2, got {args.npoints}")
     if args.tmin < 0:
         raise ConfigError(f"tmin must be >= 0, got {args.tmin}")
     if args.tmax <= args.tmin:
         raise ConfigError("tmax must exceed tmin")
-    _check_reach(args.gamma, args.tmax)
-    if args.spacing == "log":
-        if args.tmin <= 0:
-            raise ConfigError("log spacing requires tmin > 0")
-        return np.geomspace(args.tmin, args.tmax, args.npoints)
-    return np.linspace(args.tmin, args.tmax, args.npoints)
+    if args.spacing == "log" and args.tmin <= 0:
+        raise ConfigError("log spacing requires tmin > 0")
+
+
+def _time_grid(args) -> np.ndarray:
+    space = np.geomspace if args.spacing == "log" else np.linspace
+    return space(args.tmin, args.tmax, args.npoints)
 
 
 def _window(params, t_max, args) -> LatticeWindow:
@@ -213,23 +216,29 @@ def _ring(params, t_max, args) -> RingSpec:
     return RingSpec.for_run(params, t_max)
 
 
-def _ode(params, args) -> OdeSpec:
-    if args.step is not None:
-        return _spec(OdeSpec, step=args.step)
-    return OdeSpec.default_for(params)
+def _sized_window(params, args, n_times) -> LatticeWindow:
+    """The window for n_times rows up to --tmax, checked before anything is
+    allocated: its light cone against MAX_SITES, the matrix against
+    MAX_AMPLITUDES."""
+    _check_reach(params.gamma, args.tmax)
+    window = _window(params, args.tmax, args)
+    needed = n_times * window.n_sites
+    if needed > MAX_AMPLITUDES:
+        raise ConfigError(
+            f"{n_times} times x {window.n_sites} sites need {needed} amplitudes "
+            f"({needed * 16 / 2**30:.3g} GiB), over the limit of {MAX_AMPLITUDES}"
+        )
+    return window
 
 
-def _states(params, times, args):
-    t_max = float(np.max(times))
-    window = _window(params, t_max, args)
-    if args.source == "spectral":
-        ring = _ring(params, t_max, args)
-        return [propagate_spectral(params, ring, t, window) for t in times]
+def _amplitudes(params, args, window, times) -> np.ndarray:
+    """args.source's (times x sites) amplitude matrix on the window."""
     if args.source == "analytic":
-        amplitudes = analytic_amplitudes(params, window, times)
-    else:
-        amplitudes = propagate_ode_batch([params], window, _ode(params, args), times)[:, 0]
-    return [WaveState(time=t, window=window, amplitudes=a) for t, a in zip(times, amplitudes)]
+        return analytic_amplitudes(params, window, times)
+    if args.source == "spectral":
+        return spectral_amplitudes(params, _ring(params, args.tmax, args), window, times)
+    ode = OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
+    return propagate_ode_batch([params], window, ode, times)[:, 0]
 
 
 def _emit(args, header, rows):
@@ -247,12 +256,9 @@ def _tagged_path(out, tag):
 _WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
 
 
-def _wavefunction_rows(state):
-    p = state.probabilities()
-    return [
-        (int(x), p[i], state.amplitudes[i].real, state.amplitudes[i].imag)
-        for i, x in enumerate(state.window.sites())
-    ]
+def _wavefunction_rows(window, amps):
+    p = np.abs(amps) ** 2
+    return [(int(x), p[i], amps[i].real, amps[i].imag) for i, x in enumerate(window.sites())]
 
 
 def _t_cross(alpha):
@@ -265,23 +271,27 @@ def cmd_wavefunction(args):
     params = _params(args)
     if args.tmax < 0:
         raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
-    _check_reach(params.gamma, args.tmax)
-    state = _states(params, np.array([args.tmax]), args)[0]
-    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(state))
+    window = _sized_window(params, args, 1)
+    amps = _amplitudes(params, args, window, np.array([args.tmax]))
+    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(window, amps[0]))
     return 0
 
 
 def cmd_observables(args):
     params = _params(args)
+    _check_grid(args)
+    window = _sized_window(params, args, args.npoints)
     times = _time_grid(args)
-    series = series_from_states(_states(params, times, args), args.source)
-    rows = list(zip(series.times, series.mean_position, series.msd, series.survival))
+    amps = _amplitudes(params, args, window, times)
+    rows = list(zip(times, *observables_from_amplitudes(window, amps)))
     _emit(args, ["t", "mean_x", "msd", "survival"], rows)
     return 0
 
 
 def cmd_survival(args):
     params = _params(args)
+    _check_grid(args)
+    _check_reach(params.gamma, args.tmax)
     curve = survival_exact(params, _time_grid(args))
     _emit(args, ["t", "P_surv"], list(zip(curve.times, curve.values)))
     return 0
@@ -294,8 +304,14 @@ def cmd_sweep(args):
     for v in np.linspace(args.start, args.stop, args.steps):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
         params = _spec(WalkParams, gamma=args.gamma, alpha=a, delocalization=d)
-        tc = _t_cross(params.alpha)
-        rows.append((float(v), mean_velocity(params), tc, msd_closed_form(params, args.tmax)))
+        try:  # gamma**2 raises OverflowError; any other overflow leaves inf or nan
+            with np.errstate(all="ignore"):
+                msd = msd_closed_form(params, args.tmax)
+        except OverflowError:
+            msd = math.inf
+        if not math.isfinite(msd):
+            raise ConfigError(f"MSD at tmax={args.tmax:g} overflows a double, gamma={args.gamma:g}")
+        rows.append((float(v), mean_velocity(params), _t_cross(params.alpha), msd))
     _emit(args, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows)
     return 0
 
@@ -310,7 +326,7 @@ def _fig1():
     for tag, d in _D_TAGS.items():
         params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
         state = analytic_wavefunction(params, window_for(params, 50.0), 50.0)
-        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(state)
+        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(state.window, state.amplitudes)
 
 
 def _fig2():

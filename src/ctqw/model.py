@@ -15,6 +15,23 @@ class UndersizedGridError(ValueError):
     """A lattice window or ring is too small to contain the light cone."""
 
 
+# Norm deficit above this signals a truncated light cone, not rounding.
+_NORM_REJECT = 1e-10
+
+
+def check_norm_deficit(window: "LatticeWindow", amplitudes: np.ndarray, times, norm=1.0) -> None:
+    """Reject a (times x sites) matrix if any row's squared norm fell short of
+    ``norm`` (the initial state's) off the window; the error names the first
+    such time."""
+    deficit = np.abs(np.sum(np.abs(amplitudes) ** 2, axis=1) - norm)
+    leaks = np.flatnonzero(deficit > _NORM_REJECT)
+    if leaks.size:
+        i = leaks[0]
+        raise UndersizedGridError(
+            f"window half_width={window.half_width} leaks norm {deficit[i]:.3e} at t={times[i]}"
+        )
+
+
 class NumericalValidationError(RuntimeError):
     """A numerical sanity check (norm conservation, leakage) failed."""
 

@@ -4,7 +4,7 @@ Two routes that share nothing with the Bessel evaluation:
 
 * spectral: FFT to momentum space, multiply by exp(i 2 gamma t cos(alpha-k)),
   FFT back; exact on a ring large enough that no wrap-around reaches the
-  observation window.
+  observation window.  One call evaluates a whole time vector.
 * ode: fixed-step classical RK4 on the truncated chain,
   d psi_x / dt = i gamma (e^{i alpha} psi_{x-1} + e^{-i alpha} psi_{x+1}).
   The integrator is batched and checkpointed: it advances one row per
@@ -24,6 +24,7 @@ from .model import (
     UndersizedGridError,
     WalkParams,
     WaveState,
+    check_norm_deficit,
     initial_state_position,
     light_cone_half_width,
     window_for,
@@ -76,22 +77,22 @@ class OdeSpec:
         return cls(step=1e-3 / params.gamma)
 
 
-def propagate_spectral(
+def spectral_amplitudes(
     params: WalkParams,
     ring: RingSpec,
-    t: float,
-    window: Optional[LatticeWindow] = None,
+    window: LatticeWindow,
+    times,
     initial: Optional[WaveState] = None,
-) -> WaveState:
-    """Evolve by diagonalizing in momentum space; exactly unitary.
+) -> np.ndarray:
+    """Amplitudes on the window at each time, shape (len(times), n_sites), by
+    diagonalizing in momentum space; exactly unitary.
 
-    Evolves the canonical three-site initial state by default, or an
-    arbitrary window state passed as ``initial``.  Negative t runs the
-    evolution backwards (used for time-reversal checks).
+    Evolves the three-site initial state, or a window state of any norm
+    passed as ``initial``; negative times run backwards (time-reversal
+    checks).  Only the phase, the inverse FFT and the gather depend on t.
     """
-    ring.validate_for(params, t)
-    if window is None:
-        window = window_for(params, t)
+    times = np.asarray(times, dtype=float)
+    ring.validate_for(params, float(times[np.argmax(np.abs(times))]))  # the farthest time
     if window.n_sites > ring.size:
         raise UndersizedGridError("observation window larger than the ring")
 
@@ -103,10 +104,29 @@ def propagate_spectral(
     psi0[initial.window.sites() % ring.size] = initial.amplitudes
 
     k = 2.0 * math.pi * np.arange(ring.size) / ring.size
-    phase = np.exp(2j * params.gamma * t * np.cos(params.alpha - k))
-    psi_ring = np.fft.ifft(np.fft.fft(psi0) * phase)
-    amps = psi_ring[window.sites() % ring.size].copy()
-    return WaveState(time=initial.time + t, window=window, amplitudes=amps)
+    cosk = np.cos(params.alpha - k)
+    psi_k = np.fft.fft(psi0)
+    on_ring = window.sites() % ring.size
+    amps = np.empty((times.size, window.n_sites), dtype=complex)
+    for i, t in enumerate(times):
+        amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]
+    check_norm_deficit(window, amps, times, np.sum(np.abs(psi0) ** 2))  # the norm it keeps
+    return amps
+
+
+def propagate_spectral(
+    params: WalkParams,
+    ring: RingSpec,
+    t: float,
+    window: Optional[LatticeWindow] = None,
+    initial: Optional[WaveState] = None,
+) -> WaveState:
+    """One time of ``spectral_amplitudes``; the window defaults to t's light cone."""
+    if window is None:
+        window = window_for(params, t)
+    amps = spectral_amplitudes(params, ring, window, [t], initial)[0]
+    t0 = 0.0 if initial is None else initial.time
+    return WaveState(time=t0 + t, window=window, amplitudes=amps)
 
 
 def propagate_ode_batch(

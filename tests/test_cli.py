@@ -287,6 +287,16 @@ BAD_INPUTS = [
     (None, ["observables", "--half-width", "1000001", *GRID], "--half-width asks for 1000001"),
     ("ring_size = 4194304", ["observables", "--source", "spectral", *GRID],
      "--ring-size asks for 4194304 sites, over the limit of 1000000"),
+    # the (times x sites) matrix is sized before the grid or any matrix is allocated
+    (None, ["observables", "--tmax", "400000", "--npoints", "2000"],
+     "2000 times x 1601115 sites need 3202230000 amplitudes"),
+    (None, ["observables", "--npoints", "10000000", "--tmax", "1"],
+     "10000000 times x 85 sites need 850000000 amplitudes (12.7 GiB), over the limit of 33554432"),
+    # sweep's MSD column must be a finite double
+    (None, ["sweep", "--tmax", "1e200", "--steps", "2"], "MSD at tmax=1e+200 overflows a double"),
+    (None, ["sweep", "--gamma", "1e200", "--steps", "2"], "overflows a double, gamma=1e+200"),
+    (None, ["sweep", "--gamma", "1.3e154", "--tmax", "1", "--steps", "2"], "overflows a double"),
+    (None, ["sweep", "--gamma", "1.3e154", "--tmax", "0", "--steps", "2"], "overflows a double"),
 ]
 
 
@@ -307,6 +317,19 @@ def test_bad_input_exits_2(tmp_path, capsys, config, argv, message):
     assert "Traceback" not in captured.err
     assert message in captured.err
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["observables", "--source", "spectral", "--half-width", "5", "--tmax", "20", "--npoints", "3"],
+    ["wavefunction", "--source", "spectral", "--half-width", "5", "--tmax", "20"],
+])
+def test_spectral_window_is_checked(capsys, argv):
+    assert run(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "window half_width=5 leaks norm" in captured.err
+    assert captured.err.rstrip().endswith("at t=20.0" if argv[0] == "wavefunction" else "at t=10.0")
 
 
 def test_validate_quick():

@@ -10,17 +10,20 @@ from ctqw import (
     SurvivalCurve,
     WalkParams,
     WaveState,
+    analytic_amplitudes,
     backfire_ordering,
     crossing_time,
     fit_power_law,
     initial_state_position,
     mean_velocity,
     msd_closed_form,
+    observables_from_amplitudes,
     observables_from_state,
     propagate_ode,
+    propagate_ode_batch,
     propagate_spectral,
-    series_from_states,
     smoothed_survival,
+    spectral_amplitudes,
     survival_exact,
     window_for,
 )
@@ -102,11 +105,43 @@ class TestObservablesFromState:
         params = WalkParams(alpha=0.7, delocalization=0.4)
         window = window_for(params, 5.0)
         ring = RingSpec.for_run(params, 5.0)
-        states = [propagate_spectral(params, ring, t, window) for t in np.linspace(0, 5, 6)]
-        series = series_from_states(states, "spectral")
-        assert series.mean_position[0] == pytest.approx(0.0, abs=1e-12)
-        assert series.msd[0] == pytest.approx(0.4, abs=1e-12)
-        assert np.all(series.msd >= 0)
+        amps = spectral_amplitudes(params, ring, window, np.linspace(0, 5, 6))
+        mean, msd, _ = observables_from_amplitudes(window, amps)
+        assert mean[0] == pytest.approx(0.0, abs=1e-12)
+        assert msd[0] == pytest.approx(0.4, abs=1e-12)
+        assert np.all(msd >= 0)
+
+
+def _source_matrices(params, window, times):
+    ring = RingSpec.for_run(params, max(times))
+    ode = OdeSpec.default_for(params)
+    return {
+        "analytic": analytic_amplitudes(params, window, times),
+        "spectral": spectral_amplitudes(params, ring, window, times),
+        "ode": propagate_ode_batch([params], window, ode, times)[:, 0],
+    }
+
+
+class TestObservablesFromAmplitudes:
+    @pytest.mark.parametrize("d, a", [(0.0, 0.0), (0.5, PI / 2), (1.0, PI / 6), (0.3, 2.2)])
+    def test_rows_equal_one_state_bit_for_bit(self, d, a):
+        params = WalkParams(alpha=a, delocalization=d)
+        times = np.linspace(0.0, 2.0, 5)
+        window = window_for(params, 2.0)
+        for source, amps in _source_matrices(params, window, times).items():
+            mean, msd, surv = observables_from_amplitudes(window, amps)
+            assert mean.shape == msd.shape == surv.shape == (times.size,)
+            for i, t in enumerate(times):
+                row = observables_from_state(WaveState(t, window, amps[i]))
+                assert (mean[i], msd[i], surv[i]) == row, (source, t)
+
+    def test_rejects_an_unnormalized_row(self):
+        params = WalkParams(alpha=0.4, delocalization=0.5)
+        window = window_for(params, 1.0)
+        amps = analytic_amplitudes(params, window, [0.0, 0.5, 1.0])
+        amps[1] *= 1.01
+        with pytest.raises(ValueError, match="is not 1"):
+            observables_from_amplitudes(window, amps)
 
 
 class TestEhrenfest:

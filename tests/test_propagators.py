@@ -10,12 +10,14 @@ from ctqw import (
     RingSpec,
     UndersizedGridError,
     WalkParams,
+    WaveState,
     analytic_probability,
     initial_state_position,
     observables_from_state,
     propagate_ode,
     propagate_ode_batch,
     propagate_spectral,
+    spectral_amplitudes,
     window_for,
 )
 
@@ -77,6 +79,57 @@ class TestSpectral:
     def test_rejects_undersized_ring(self):
         with pytest.raises(UndersizedGridError):
             propagate_spectral(WalkParams(), RingSpec(32), 50.0)
+
+
+class TestSpectralAmplitudes:
+    def test_rows_equal_one_time_calls_bit_for_bit(self):
+        times = [3.5, 0.0, 12.0, 0.25, 7.0]  # unsorted, with t = 0
+        for d, a in [(0.0, 0.0), (0.5, PI / 2), (1.0, PI / 6), (0.3, 2.2)]:
+            params = WalkParams(alpha=a, delocalization=d)
+            window = window_for(params, 12.0)
+            ring = RingSpec.for_run(params, 12.0)
+            amps = spectral_amplitudes(params, ring, window, times)
+            assert amps.shape == (len(times), window.n_sites)
+            for row, t in zip(amps, times):
+                assert np.array_equal(row, propagate_spectral(params, ring, t, window).amplitudes)
+
+    def test_initial_state_and_negative_time_through_the_wrapper(self):
+        params = WalkParams(alpha=0.8, delocalization=0.6)
+        ring = RingSpec.for_run(params, 7.0)
+        window = window_for(params, 7.0)
+        fwd = propagate_spectral(params, ring, 7.0, window)
+        times = [-7.0, 0.0, -2.5]
+        amps = spectral_amplitudes(params, ring, window, times, initial=fwd)
+        for row, t in zip(amps, times):
+            back = propagate_spectral(params, ring, t, window, initial=fwd)
+            assert np.array_equal(row, back.amplitudes)
+            assert back.time == 7.0 + t
+
+    def test_initial_state_of_any_norm_keeps_its_norm(self):
+        params = WalkParams(alpha=0.8, delocalization=0.6)
+        ring = RingSpec.for_run(params, 7.0)
+        window = window_for(params, 7.0)
+        seed = initial_state_position(params, window)
+        half = WaveState(time=0.0, window=window, amplitudes=0.5 * seed.amplitudes)
+        times = [0.0, 3.0, 7.0]
+        amps = spectral_amplitudes(params, ring, window, times, initial=half)
+        # scaling by 1/2 is exact, and the FFTs are linear
+        assert np.array_equal(amps, 0.5 * spectral_amplitudes(params, ring, window, times))
+        assert np.allclose(np.sum(np.abs(amps) ** 2, axis=1), 0.25, rtol=0, atol=1e-13)
+        with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=7\.0$"):
+            spectral_amplitudes(params, ring, LatticeWindow(5), [7.0], initial=half)
+
+    def test_names_the_first_leaking_time(self):
+        params = WalkParams(alpha=0.3, delocalization=0.5)
+        ring = RingSpec.for_run(params, 20.0)
+        window = LatticeWindow(5)
+        assert spectral_amplitudes(params, ring, window, [0.0, 0.1]).shape == (2, 11)
+        with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=10\.0$"):
+            spectral_amplitudes(params, ring, window, [0.1, 10.0, 0.0, 20.0])
+
+    def test_undersized_ring_names_the_farthest_time(self):
+        with pytest.raises(UndersizedGridError, match=r"at t=-50\.0 "):
+            spectral_amplitudes(WalkParams(), RingSpec(64), LatticeWindow(5), [0.0, -50.0, 5.0])
 
 
 class TestOde:
