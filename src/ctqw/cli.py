@@ -39,6 +39,9 @@ MAX_SITES = 10**6
 # Largest (times x sites) amplitude matrix, 512 MiB of complex: about 80x the
 # largest grid in the README or the benchmark, and one wavefunction at MAX_SITES.
 MAX_AMPLITUDES = 2**25
+# Most RK4 site-steps (steps x window sites) a run may ask for, about 700x
+# the default `observables --source ode` run (5e4 steps x 281 sites).
+MAX_ODE_SITE_STEPS = 10**10
 
 
 class ConfigError(Exception):
@@ -238,6 +241,12 @@ def _amplitudes(params, args, window, times) -> np.ndarray:
     if args.source == "spectral":
         return spectral_amplitudes(params, _ring(params, args.tmax, args), window, times)
     ode = OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
+    site_steps = args.tmax / ode.step * window.n_sites  # a float: a tiny step gives inf
+    if site_steps > MAX_ODE_SITE_STEPS:
+        raise ConfigError(
+            f"RK4 to t={args.tmax:g} at step {ode.step:g} on {window.n_sites} sites needs "
+            f"{site_steps:.3g} site-steps, over the limit of {MAX_ODE_SITE_STEPS:.0e}"
+        )
     return propagate_ode_batch([params], window, ode, times)[:, 0]
 
 

@@ -7,13 +7,17 @@ Two routes that share nothing with the Bessel evaluation:
   observation window.  One call evaluates a whole time vector.
 * ode: fixed-step classical RK4 on the truncated chain,
   d psi_x / dt = i gamma (e^{i alpha} psi_{x-1} + e^{-i alpha} psi_{x+1}).
-  The integrator is batched and checkpointed: it advances one row per
-  parameter set together and runs once through a sorted list of times,
-  returning a snapshot at each.
+  The integrator is batched and checkpointed: its state holds sites on
+  axis 0 and one row per parameter set on axis 1, for any number of rows,
+  and it runs once through a sorted list of times, returning a snapshot at
+  each.  ``check_rows`` rejects a snapshot with weight at the edges of a
+  window or a drifted norm; the integrator applies it to its own window,
+  and the oracle triangle to each time's sub-window.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,12 +142,13 @@ def propagate_ode_batch(
     """RK4 for several parameter rows at once, in one pass through sorted times.
 
     Each row starts from the three-site initial state of its own params and
-    hops with its own ``i gamma e^{+-i alpha}``.  The integration runs once
-    through the checkpoint times; every gap between checkpoints takes full
-    steps of ``ode.step`` and at most one shortened final step, so a
+    hops with its own ``i gamma e^{+-i alpha}``.  The state is one
+    (n_sites x rows) array for any number of rows.  The integration runs
+    once through the checkpoint times; every gap between checkpoints takes
+    full steps of ``ode.step`` and at most one shortened final step, so a
     snapshot equals chained single-gap runs bit for bit.  Returns the
     amplitudes as an array of shape ``(len(times), len(params), n_sites)``.
-    Edge leakage and norm drift are checked on every row at every checkpoint.
+    Every snapshot passes ``check_rows`` on the window's outer sites.
     """
     times = [float(t) for t in times]
     if not params or not times:
@@ -161,16 +166,10 @@ def propagate_ode_batch(
     hop_left = np.array([1j * p.gamma * np.exp(1j * p.alpha) for p in params])  # x-1 -> x
     hop_right = np.array([1j * p.gamma * np.exp(-1j * p.alpha) for p in params])  # x+1 -> x
     # sites along axis 0, rows along axis 1: the shifted slices in rhs are
-    # then whole contiguous blocks
+    # then whole contiguous blocks; the hops are tiled to the shape they
+    # multiply, so no operand is broadcast
+    hop_left, hop_right = (np.tile(hop, (window.n_sites - 1, 1)) for hop in (hop_left, hop_right))
     psi = np.stack([initial_state_position(p, window).amplitudes for p in params], axis=1)
-    if len(params) == 1:
-        # one trajectory: a 1-D state and scalar hops keep the per-step
-        # numpy overhead at its minimum
-        psi, hop_left, hop_right = psi[:, 0], hop_left[0], hop_right[0]
-    else:
-        # hops tiled to the shape they multiply, so no operand is broadcast
-        hop_left = np.tile(hop_left, (window.n_sites - 1, 1))
-        hop_right = np.tile(hop_right, (window.n_sites - 1, 1))
 
     def rhs(psi, out):
         out[0] = 0.0
@@ -185,8 +184,8 @@ def propagate_ode_batch(
         gap = t - t_prev
         n_full = int(math.floor(gap / ode.step + 1e-12))
         last = gap - n_full * ode.step
-        steps = [ode.step] * n_full + ([last] if last > 1e-15 * max(gap, 1.0) else [])
-        for h in steps:
+        shortened = [last] if last > 1e-15 * max(gap, 1.0) else []
+        for h in chain(repeat(ode.step, n_full), shortened):
             rhs(psi, k1)
             np.multiply(k1, 0.5 * h, out=tmp)
             tmp += psi
@@ -199,21 +198,23 @@ def propagate_ode_batch(
             rhs(tmp, k4)
             psi += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         snapshots[i] = psi.T
-        _check_rows(snapshots[i], params, t)
+        check_rows(snapshots[i], params, t, 0, window.n_sites - 1)
         t_prev = t
     return snapshots
 
 
-def _check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float) -> None:
-    """Reject the snapshot if any row's edge sites carry weight or its norm drifted."""
-    edge = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, -1]) ** 2
+def check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float, lo: int, hi: int) -> None:
+    """Reject a (rows x sites) snapshot if any row has weight on or beyond
+    sites ``lo`` and ``hi``, or a norm that drifted from 1."""
+    p = np.abs(psi) ** 2
+    edge = p[:, : lo + 1].sum(axis=1) + p[:, hi:].sum(axis=1)
     row = int(np.argmax(edge))
     if not edge[row] <= EDGE_LEAK_LIMIT:
         raise NumericalValidationError(
-            f"edge-site probability {edge[row]:.3e} exceeds {EDGE_LEAK_LIMIT} "
-            f"at t={t:g} for {params[row]}; truncation is visible"
+            f"edge-site probability {edge[row]:.3e} on or beyond sites {lo} and {hi} exceeds "
+            f"{EDGE_LEAK_LIMIT} at t={t:g} for {params[row]}; truncation is visible"
         )
-    drift = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)
+    drift = np.abs(np.sum(p, axis=1) - 1.0)
     row = int(np.argmax(drift))
     if not drift[row] <= _NORM_DRIFT_LIMIT:
         raise NumericalValidationError(

@@ -292,6 +292,14 @@ BAD_INPUTS = [
      "2000 times x 1601115 sites need 3202230000 amplitudes"),
     (None, ["observables", "--npoints", "10000000", "--tmax", "1"],
      "10000000 times x 85 sites need 850000000 amplitudes (12.7 GiB), over the limit of 33554432"),
+    # RK4 site-steps are counted in floats before the integrator starts
+    (None, ["observables", "--source", "ode", "--step", "1e-300", *GRID],
+     "needs 8.5e+301 site-steps, over the limit of 1e+10"),
+    (None, ["wavefunction", "--source", "ode", "--step", "1e-9", "--tmax", "1"],
+     "RK4 to t=1 at step 1e-09 on 85 sites needs 8.5e+10 site-steps"),
+    (None, ["observables", "--source", "ode", "--tmax", "100000", "--npoints", "2"],
+     "needs 4.01e+13 site-steps, over the limit of 1e+10"),
+    (None, ["observables", "--source", "ode", "--step", "5e-324", *GRID], "needs inf site-steps"),
     # sweep's MSD column must be a finite double
     (None, ["sweep", "--tmax", "1e200", "--steps", "2"], "MSD at tmax=1e+200 overflows a double"),
     (None, ["sweep", "--gamma", "1e200", "--steps", "2"], "overflows a double, gamma=1e+200"),

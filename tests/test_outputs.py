@@ -3,7 +3,8 @@
 Each case runs ``ctqw.cli.main`` in an empty directory and hashes its exit
 code, stdout and every file it wrote. The digests in ``outputs.sha256``
 were recorded before the one-matrix evaluation path went in, so they hold
-the tables to the bytes the per-state path wrote.
+the tables to the bytes the per-state path wrote; the figure, survival and
+short-step cases were recorded before RK4 lost its one-row state layout.
 
 Regenerate the digests only for a deliberate change of output, from the
 repository root:
@@ -42,6 +43,17 @@ for _source in ("analytic", "spectral", "ode"):
         _common = f"--source {_source} --dparam 0.3 --alpha 0.9 --format {_fmt} {_out}"
         CASES[f"observables-{_source}-{_fmt}"] = f"observables {_common} --tmax 5 --npoints 11"
         CASES[f"wavefunction-{_source}-{_fmt}"] = f"wavefunction {_common} --tmax 4.5"
+# every figure, CSV (fig4 is a README example above) and JSON
+for _fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+    if _fig != "fig4":
+        CASES[f"figure-{_fig}-csv"] = f"figure {_fig} --out {_fig}.csv"
+    CASES[f"figure-{_fig}-json"] = f"figure {_fig} --format json --out {_fig}.json"
+CASES["survival-json"] = "survival --dparam 0.3 --alpha 0.9 --format json --tmax 5 --npoints 11"
+# RK4 checkpoints that are not multiples of the step
+CASES["observables-ode-short-step"] = (
+    "observables --source ode --dparam 0.3 --alpha 0.9 --tmax 1 --npoints 4 --step 0.0007 "
+    "--out t.csv"
+)
 
 
 def output_digest(argv):

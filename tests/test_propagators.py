@@ -205,6 +205,8 @@ GRID_ROWS = [
     for a in (0.0, PI / 6, PI / 4, PI / 2)
 ]
 
+ONE_ROW = WalkParams(alpha=1.1, delocalization=0.37)
+
 
 class TestOdeBatch:
     def test_rows_equal_single_runs(self):
@@ -223,17 +225,22 @@ class TestOdeBatch:
         for t, snap in zip(times, snapshots):
             assert np.array_equal(snap[0], propagate_ode(params, window, ode, t).amplitudes)
 
-    def test_checkpoints_equal_chained_restarts(self):
-        params = WalkParams(alpha=1.1, delocalization=0.37)
-        window, ode = window_for(params, 10.0), OdeSpec.default_for(params)
-        times = np.linspace(0.0, 10.0, 21)
-        snapshots = propagate_ode_batch([params], window, ode, times)
-        # restart from each snapshot, one gap at a time, by hand
-        psi, t_prev = initial_state_position(params, window).amplitudes, 0.0
-        for t, snap in zip(times, snapshots):
-            psi = _rk4_gap(params, psi, t - t_prev, ode.step)
-            t_prev = t
-            assert np.array_equal(snap[0], psi)
+    @pytest.mark.parametrize("rows, ode, times", [
+        ([ONE_ROW], OdeSpec.default_for(ONE_ROW), np.linspace(0.0, 10.0, 21)),
+        # checkpoints that are not multiples of the step take a shortened step
+        (GRID_ROWS, OdeSpec(1e-3), [0.0035, 0.5004, 1.3, 1.3001]),
+        ([ONE_ROW], OdeSpec(0.0007), [0.0035, 0.5004, 1.3, 1.3001]),
+    ], ids=["one-row", "grid-rows-short-steps", "one-row-short-steps"])
+    def test_checkpoints_equal_chained_restarts(self, rows, ode, times):
+        window = window_for(rows[0], times[-1])
+        snapshots = propagate_ode_batch(rows, window, ode, times)
+        for r, params in enumerate(rows):
+            # restart from each snapshot, one gap at a time, by hand
+            psi, t_prev = initial_state_position(params, window).amplitudes, 0.0
+            for t, snap in zip(times, snapshots):
+                psi = _rk4_gap(params, psi, t - t_prev, ode.step)
+                t_prev = t
+                assert np.array_equal(snap[r], psi)
 
     def test_rejects_unsorted_or_negative_times(self):
         window, ode = LatticeWindow(50), OdeSpec(1e-3)
