@@ -30,7 +30,7 @@ from .model import (
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
 from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
 from .tables import WRITERS, emit_table
-from .validate import GRID_T, oracle_triangle
+from .validate import GRID_ALPHA, GRID_D, GRID_T, oracle_triangle
 
 # Largest window half width or ring a run may ask for, about 1000x the
 # largest grid in the README or the benchmark. Past it the Bessel
@@ -39,8 +39,8 @@ MAX_SITES = 10**6
 # Largest (times x sites) amplitude matrix, 512 MiB of complex: about 80x the
 # largest grid in the README or the benchmark, and one wavefunction at MAX_SITES.
 MAX_AMPLITUDES = 2**25
-# Most RK4 site-steps (steps x window sites) a run may ask for, about 700x
-# the default `observables --source ode` run (5e4 steps x 281 sites).
+# Most RK4 site-steps (steps x window sites x rows) a run may ask for: 700x a
+# default `observables --source ode` run (1 row), 44x the full `validate` (16).
 MAX_ODE_SITE_STEPS = 10**10
 
 
@@ -198,6 +198,8 @@ def _check_grid(args):
         raise ConfigError("tmax must exceed tmin")
     if args.spacing == "log" and args.tmin <= 0:
         raise ConfigError("log spacing requires tmin > 0")
+    if args.npoints > MAX_AMPLITUDES:  # before the grid is allocated
+        raise ConfigError(f"{args.npoints} grid times, over the limit of {MAX_AMPLITUDES}")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -234,6 +236,16 @@ def _sized_window(params, args, n_times) -> LatticeWindow:
     return window
 
 
+def _check_ode_work(t_max, step, n_sites, rows):
+    site_steps = -(-t_max // step) * n_sites * rows  # a float: a tiny step gives inf
+    if site_steps > MAX_ODE_SITE_STEPS:
+        on = f"{n_sites} sites" + (f" x {rows} rows" if rows > 1 else "")
+        raise ConfigError(
+            f"RK4 to t={t_max:g} at step {step:g} on {on} needs "
+            f"{site_steps:.3g} site-steps, over the limit of {MAX_ODE_SITE_STEPS:.0e}"
+        )
+
+
 def _amplitudes(params, args, window, times) -> np.ndarray:
     """args.source's (times x sites) amplitude matrix on the window."""
     if args.source == "analytic":
@@ -241,12 +253,7 @@ def _amplitudes(params, args, window, times) -> np.ndarray:
     if args.source == "spectral":
         return spectral_amplitudes(params, _ring(params, args.tmax, args), window, times)
     ode = OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
-    site_steps = args.tmax / ode.step * window.n_sites  # a float: a tiny step gives inf
-    if site_steps > MAX_ODE_SITE_STEPS:
-        raise ConfigError(
-            f"RK4 to t={args.tmax:g} at step {ode.step:g} on {window.n_sites} sites needs "
-            f"{site_steps:.3g} site-steps, over the limit of {MAX_ODE_SITE_STEPS:.0e}"
-        )
+    _check_ode_work(args.tmax, ode.step, window.n_sites, 1)
     return propagate_ode_batch([params], window, ode, times)[:, 0]
 
 
@@ -387,10 +394,12 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
-    gamma = _spec(WalkParams, gamma=args.gamma).gamma  # rejects a non-positive gamma
+    base = _spec(WalkParams, gamma=args.gamma)  # rejects a non-positive gamma
     times = (1.0, 5.0) if args.quick else GRID_T
-    _check_reach(gamma, max(times))
-    results = oracle_triangle(times=times, gamma=gamma)
+    _check_reach(base.gamma, max(times))
+    _check_ode_work(max(times), OdeSpec.default_for(base).step,  # every point on the outer window
+                    window_for(base, max(times)).n_sites, len(GRID_D) * len(GRID_ALPHA))
+    results = oracle_triangle(times=times, gamma=base.gamma)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"

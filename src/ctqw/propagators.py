@@ -17,7 +17,6 @@ Two routes that share nothing with the Bessel evaluation:
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,8 +145,10 @@ def propagate_ode_batch(
     (n_sites x rows) array for any number of rows.  The integration runs
     once through the checkpoint times; every gap between checkpoints takes
     full steps of ``ode.step`` and at most one shortened final step, so a
-    snapshot equals chained single-gap runs bit for bit.  Returns the
-    amplitudes as an array of shape ``(len(times), len(params), n_sites)``.
+    snapshot equals chained single-gap runs bit for bit.  A step runs on
+    buffers and shifted views made once per call, with every ufunc writing
+    through ``out=`` in the plain RK4 expression's order: the same bits.
+    Returns the amplitudes, shape ``(len(times), len(params), n_sites)``.
     Every snapshot passes ``check_rows`` on the window's outer sites.
     """
     times = [float(t) for t in times]
@@ -165,41 +166,45 @@ def propagate_ode_batch(
 
     hop_left = np.array([1j * p.gamma * np.exp(1j * p.alpha) for p in params])  # x-1 -> x
     hop_right = np.array([1j * p.gamma * np.exp(-1j * p.alpha) for p in params])  # x+1 -> x
-    # sites along axis 0, rows along axis 1: the shifted slices in rhs are
-    # then whole contiguous blocks; the hops are tiled to the shape they
+    # sites along axis 0, rows along axis 1: the shifted slices of each stage
+    # are then whole contiguous blocks; the hops are tiled to the shape they
     # multiply, so no operand is broadcast
     hop_left, hop_right = (np.tile(hop, (window.n_sites - 1, 1)) for hop in (hop_left, hop_right))
     psi = np.stack([initial_state_position(p, window).amplitudes for p in params], axis=1)
 
-    def rhs(psi, out):
-        out[0] = 0.0
-        out[1:] = hop_left * psi[:-1]
-        out[:-1] += hop_right * psi[1:]
-        return out
-
-    k1, k2, k3, k4, tmp = (np.empty_like(psi) for _ in range(5))
+    k1, k2, k3, k4, tmp, acc = (np.empty_like(psi) for _ in range(6))
+    spill = np.empty_like(psi[1:])
+    two = np.complex128(2.0)
+    # each stage's k and source, with their shifted views, built once
+    stages = [(k, k[1:], k[:-1], src[:-1], src[1:])
+              for k, src in ((k1, psi), (k2, tmp), (k3, tmp), (k4, tmp))]
     snapshots = np.empty((len(times), len(params), window.n_sites), dtype=complex)
-    t_prev = 0.0
-    for i, t in enumerate(times):
+    for i, (t_prev, t) in enumerate(zip([0.0] + times, times)):
         gap = t - t_prev
         n_full = int(math.floor(gap / ode.step + 1e-12))
         last = gap - n_full * ode.step
-        shortened = [last] if last > 1e-15 * max(gap, 1.0) else []
-        for h in chain(repeat(ode.step, n_full), shortened):
-            rhs(psi, k1)
-            np.multiply(k1, 0.5 * h, out=tmp)
-            tmp += psi
-            rhs(tmp, k2)
-            np.multiply(k2, 0.5 * h, out=tmp)
-            tmp += psi
-            rhs(tmp, k3)
-            np.multiply(k3, h, out=tmp)
-            tmp += psi
-            rhs(tmp, k4)
-            psi += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        # n_full steps of ode.step, then at most one shortened step; complex scalars made once
+        for h, n in ((ode.step, n_full), (last, int(last > 1e-15 * max(gap, 1.0)))):
+            half, whole, sixth = (np.complex128(x) for x in (0.5 * h, h, h / 6.0))
+            for _ in range(n):
+                for (k, k_hi, k_lo, src_lo, src_hi), c in zip(stages, (half, half, whole, None)):
+                    # k = hop_left * src[x-1] + hop_right * src[x+1], zero past the edges
+                    k[0] = 0.0
+                    np.multiply(hop_left, src_lo, out=k_hi)
+                    np.multiply(hop_right, src_hi, out=spill)
+                    np.add(k_lo, spill, out=k_lo)
+                    if c is not None:  # the next stage's source: psi + c * k
+                        np.multiply(k, c, out=tmp)
+                        np.add(tmp, psi, out=tmp)
+                # psi += h/6 (k1 + 2 (k2 + k3) + k4), in the plain expression's order
+                np.add(k2, k3, out=acc)
+                np.multiply(two, acc, out=acc)
+                np.add(k1, acc, out=acc)
+                np.add(acc, k4, out=acc)
+                np.multiply(sixth, acc, out=acc)
+                np.add(psi, acc, out=psi)
         snapshots[i] = psi.T
         check_rows(snapshots[i], params, t, 0, window.n_sites - 1)
-        t_prev = t
     return snapshots
 
 

@@ -300,6 +300,12 @@ BAD_INPUTS = [
     (None, ["observables", "--source", "ode", "--tmax", "100000", "--npoints", "2"],
      "needs 4.01e+13 site-steps, over the limit of 1e+10"),
     (None, ["observables", "--source", "ode", "--step", "5e-324", *GRID], "needs inf site-steps"),
+    # validate counts RK4 site-steps for every grid row on the outer window
+    (None, ["validate", "--gamma", "1000"],
+     "RK4 to t=50 at step 1e-06 on 200559 sites x 16 rows needs 1.6e+14 site-steps"),
+    # survival's time grid is sized before it is allocated
+    (None, ["survival", "--npoints", "100000000", "--tmax", "10"],
+     "100000000 grid times, over the limit of 33554432"),
     # sweep's MSD column must be a finite double
     (None, ["sweep", "--tmax", "1e200", "--steps", "2"], "MSD at tmax=1e+200 overflows a double"),
     (None, ["sweep", "--gamma", "1e200", "--steps", "2"], "overflows a double, gamma=1e+200"),

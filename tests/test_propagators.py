@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,18 @@ class TestOdeBatch:
                 psi = _rk4_gap(params, psi, t - t_prev, ode.step)
                 t_prev = t
                 assert np.array_equal(snap[r], psi)
+
+    @pytest.mark.parametrize("rows, ode, times, digest", [
+        # a step of 1e-3 to 1.0005 is shortened
+        (GRID_ROWS, OdeSpec(1e-3), [1.0, 1.0005, 5.0],
+         "ada503d1469593d081772a7df69c1d048b60785b36673ab2251b6227b2c23f21"),
+        ([ONE_ROW], OdeSpec.default_for(ONE_ROW), np.linspace(0.0, 10.0, 21),
+         "832aca520efcc852b1a93bbb4f8fc2a3ec4ac56d5f17576dfe86e7da02d8f37c"),
+    ], ids=["grid-rows", "one-row"])
+    def test_snapshot_bytes_are_pinned(self, rows, ode, times, digest):
+        # array_equal takes -0.0 for 0.0; a digest of the bytes does not
+        snapshots = propagate_ode_batch(rows, window_for(rows[0], times[-1]), ode, times)
+        assert hashlib.sha256(snapshots.tobytes()).hexdigest() == digest
 
     def test_rejects_unsorted_or_negative_times(self):
         window, ode = LatticeWindow(50), OdeSpec(1e-3)
