@@ -7,11 +7,13 @@ __version__ = "0.1.0"
 from .analytic import (
     SurvivalCurve,
     analytic_amplitudes,
+    analytic_amplitudes_batch,
     analytic_probability,
     analytic_wavefunction,
     is_fine_tuned,
     survival_asymptotic,
     survival_exact,
+    survival_exact_batch,
 )
 from .bessel import bessel_row, bessel_row_batch, bessel_rows
 from .model import (
@@ -52,11 +54,13 @@ from .validate import oracle_triangle
 __all__ = [
     "SurvivalCurve",
     "analytic_amplitudes",
+    "analytic_amplitudes_batch",
     "analytic_probability",
     "analytic_wavefunction",
     "is_fine_tuned",
     "survival_asymptotic",
     "survival_exact",
+    "survival_exact_batch",
     "bessel_row",
     "bessel_row_batch",
     "bessel_rows",

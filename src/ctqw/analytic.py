@@ -18,7 +18,7 @@ propagation of psi(k, t) to rounding; see tests for the cross checks.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,34 +42,50 @@ class SurvivalCurve:
     params: Optional[WalkParams] = None
 
 
-def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.ndarray:
-    """Exact amplitudes on the window at each time >= 0; shape (len(times), n_sites).
-
-    One Bessel recurrence serves every time; each row equals the one-time
-    evaluation bit for bit.
-    """
+def _batch_args(points: Sequence[WalkParams], times):
+    """The one gamma that the points share, and the times as floats >= 0."""
+    gammas = {p.gamma for p in points}
+    if len(gammas) != 1:
+        raise ValueError(f"a batch needs points of one gamma, got {sorted(gammas)}")
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
-        raise ValueError(f"time must be nonnegative, got {times[times < 0][0]}")
-    rows = bessel_row_batch(2.0 * params.gamma * times, window.half_width + 1)
+        raise ValueError(f"times must be nonnegative, got {times[times < 0][0]}")
+    return gammas.pop(), times
+
+
+def analytic_amplitudes_batch(
+    points: Sequence[WalkParams], window: LatticeWindow, times
+) -> np.ndarray:
+    """Exact amplitudes of each point on the window at each time >= 0, shape
+    (len(times), len(points), n_sites) as from propagate_ode_batch. The Bessel
+    factors depend only on gamma*t, so one recurrence serves every point and
+    time; each entry equals the one-point, one-time evaluation bit for bit."""
+    gamma, times = _batch_args(points, times)
+    rows = bessel_row_batch(2.0 * gamma * times, window.half_width + 1)
     # i^n J_n for n >= 0; note i^{-n} J_{-n} = i^n J_n, so negative
     # orders reuse the same values.
     i_pow = _I_POW[np.arange(window.half_width + 2) % 4]
 
     xs = window.sites()
-    d = params.delocalization
-    a = params.alpha
-    phase = np.exp(1j * a * xs)
-    psi = np.empty((times.size, window.n_sites), dtype=complex)
-    for i in range(times.size):
-        jt = i_pow * rows[:, i]
-        psi[i] = phase * (
-            math.sqrt(1.0 - d) * jt[np.abs(xs)]
-            + math.sqrt(d / 2.0)
-            * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
-        )
-    check_norm_deficit(window, psi, times)
+    psi = np.empty((times.size, len(points), window.n_sites), dtype=complex)
+    for j, params in enumerate(points):
+        d = params.delocalization
+        a = params.alpha
+        phase = np.exp(1j * a * xs)
+        for i in range(times.size):
+            jt = i_pow * rows[:, i]
+            psi[i, j] = phase * (
+                math.sqrt(1.0 - d) * jt[np.abs(xs)]
+                + math.sqrt(d / 2.0)
+                * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
+            )
+        check_norm_deficit(window, psi[:, j], times)
     return psi
+
+
+def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.ndarray:
+    """Exact amplitudes on the window at each time >= 0; shape (len(times), n_sites)."""
+    return analytic_amplitudes_batch([params], window, times)[:, 0]
 
 
 def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> WaveState:
@@ -82,21 +98,23 @@ def analytic_probability(params: WalkParams, window: LatticeWindow, t: float) ->
     return analytic_wavefunction(params, window, t).probabilities()
 
 
-def _survival_values(params: WalkParams, times: np.ndarray) -> np.ndarray:
-    z = 2.0 * params.gamma * times
-    j0, j1, j2 = bessel_rows(z, 2)
-    d = params.delocalization
-    sin2 = math.sin(params.alpha) ** 2
-    cos2a = math.cos(2.0 * params.alpha)
-    return j0**2 + 2.0 * (1.0 - d * sin2) * j1**2 + d * j2**2 - 2.0 * d * cos2a * j0 * j2
+def survival_exact_batch(points: Sequence[WalkParams], times) -> List[SurvivalCurve]:
+    """survival_exact of each point, from one Bessel recurrence; the points share gamma."""
+    gamma, times = _batch_args(points, times)
+    j0, j1, j2 = bessel_rows(2.0 * gamma * times, 2)
+    curves = []
+    for params in points:
+        d = params.delocalization
+        sin2 = math.sin(params.alpha) ** 2
+        cos2a = math.cos(2.0 * params.alpha)
+        values = j0**2 + 2.0 * (1.0 - d * sin2) * j1**2 + d * j2**2 - 2.0 * d * cos2a * j0 * j2
+        curves.append(SurvivalCurve(times=times, values=values, params=params))
+    return curves
 
 
 def survival_exact(params: WalkParams, times) -> SurvivalCurve:
     """Exact central-region survival probability on a time grid."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
-    return SurvivalCurve(times=times, values=_survival_values(params, times), params=params)
+    return survival_exact_batch([params], times)[0]
 
 
 def is_fine_tuned(params: WalkParams, tol: float = 1e-12) -> bool:

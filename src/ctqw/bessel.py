@@ -69,7 +69,8 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
             jn[big] *= _RESCALE
             jnp1[big] *= _RESCALE
             even_sum[big] *= _RESCALE
-            out[:, big] *= _RESCALE
+            if n <= n_max:  # only rows n..n_max are written yet; the rest are +0.0
+                out[n:, big] *= _RESCALE
         jnm1 = mult * jn - jnp1
         jnp1, jn = jn, jnm1
         bound *= (mult_max + 1.0) * (1.0 + 1e-12)  # the margin covers rounding

@@ -15,9 +15,10 @@ import numpy as np
 from . import __version__
 from .analytic import (
     analytic_amplitudes,
-    analytic_wavefunction,
+    analytic_amplitudes_batch,
     survival_asymptotic,
     survival_exact,
+    survival_exact_batch,
 )
 from .model import (
     NumericalValidationError,
@@ -42,6 +43,8 @@ MAX_AMPLITUDES = 2**25
 # Most RK4 site-steps (steps x window sites x rows) a run may ask for: 700x a
 # default `observables --source ode` run (1 row), 44x the full `validate` (16).
 MAX_ODE_SITE_STEPS = 10**10
+# Most rows a sweep may compute, about 11 s at the 11 us each row takes.
+MAX_SWEEP_STEPS = 10**6
 
 
 class ConfigError(Exception):
@@ -316,6 +319,8 @@ def cmd_survival(args):
 def cmd_sweep(args):
     if args.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {args.steps}")
+    if args.steps > MAX_SWEEP_STEPS:  # before the sweep grid is allocated
+        raise ConfigError(f"sweep of {args.steps} steps, over the limit of {MAX_SWEEP_STEPS}")
     rows = []
     for v in np.linspace(args.start, args.stop, args.steps):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
@@ -339,10 +344,10 @@ _D_TAGS = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
 
 def _fig1():
     # Probability distributions, alpha = pi/2 at gamma*t = 50.
-    for tag, d in _D_TAGS.items():
-        params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
-        state = analytic_wavefunction(params, window_for(params, 50.0), 50.0)
-        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(state.window, state.amplitudes)
+    points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
+    window = window_for(points[0], 50.0)
+    for tag, amps in zip(_D_TAGS, analytic_amplitudes_batch(points, window, [50.0])[0]):
+        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(window, amps)
 
 
 def _fig2():
@@ -374,11 +379,10 @@ def _fig4():
 def _fig5():
     # Survival probability on a log-log grid, alpha = pi/2.
     ts = np.geomspace(0.1, 500.0, 200)
-    for tag, d in _D_TAGS.items():
-        params = WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
-        exact = survival_exact(params, ts).values
-        asym = survival_asymptotic(params, ts)
-        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, exact, asym))
+    points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
+    for tag, curve in zip(_D_TAGS, survival_exact_batch(points, ts)):
+        asym = survival_asymptotic(curve.params, ts)
+        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, curve.values, asym))
 
 
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}

@@ -6,7 +6,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytic import SurvivalCurve, _survival_values
+from .analytic import SurvivalCurve, survival_exact
 from .model import LatticeWindow, WalkParams, WaveState
 
 # Half period (in gamma*t) of the J_n(2 gamma t)^2 oscillations; the
@@ -142,7 +142,7 @@ def smoothed_survival(
         raise ValueError("smoothing window extends below t = 0")
     offsets = ((np.arange(n_quad) + 0.5) / n_quad * 2.0 - 1.0) * half
     grid = times[:, None] + offsets[None, :]
-    vals = _survival_values(params, grid.ravel()).reshape(grid.shape)
+    vals = survival_exact(params, grid).values
     return SurvivalCurve(times=times, values=vals.mean(axis=1), params=params)
 
 

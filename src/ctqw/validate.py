@@ -6,7 +6,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .analytic import analytic_probability
+from .analytic import analytic_amplitudes_batch
 from .model import WalkParams, window_for
 from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, propagate_spectral
 
@@ -55,8 +55,8 @@ def oracle_triangle(
         # as a run on it would be
         check_rows(ode_amps[t], points, t, lo, hi)
         ring = RingSpec.for_run(base, t)
-        for params, amps in zip(points, ode_amps[t]):
-            p_exact = analytic_probability(params, window, t)
+        exact = np.abs(analytic_amplitudes_batch(points, window, [t])[0]) ** 2
+        for params, p_exact, amps in zip(points, exact, ode_amps[t]):
             p_spec = propagate_spectral(params, ring, t, window).probabilities()
             p_ode = np.abs(amps[lo : hi + 1]) ** 2
             tag = f"D={params.delocalization} alpha={params.alpha:.4f} gt={gamma * t:g}"

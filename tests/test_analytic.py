@@ -10,6 +10,7 @@ from ctqw import (
     UndersizedGridError,
     WalkParams,
     analytic_amplitudes,
+    analytic_amplitudes_batch,
     analytic_probability,
     analytic_wavefunction,
     initial_state_position,
@@ -17,6 +18,7 @@ from ctqw import (
     mean_velocity,
     survival_asymptotic,
     survival_exact,
+    survival_exact_batch,
     window_for,
 )
 from ctqw.bessel import bessel_row
@@ -156,6 +158,40 @@ class TestSurvivalExact:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             survival_exact(WalkParams(), [-1.0, 2.0])
+
+
+class TestBatch:
+    # mixed points: D in {0, 0.3, 1}, alpha in {0, pi/6, pi/2}, one gamma
+    POINTS = [
+        WalkParams(gamma=1.3, alpha=a, delocalization=d)
+        for d in (0.0, 0.3, 1.0)
+        for a in (0.0, PI / 6, PI / 2)
+    ]
+
+    def test_amplitudes_equal_one_point_calls_byte_for_byte(self):
+        times = np.array([12.5, 0.0, 40.0, 1e-9, 3.25])
+        window = window_for(self.POINTS[0], 40.0)
+        psi = analytic_amplitudes_batch(self.POINTS, window, times)
+        assert psi.shape == (times.size, len(self.POINTS), window.n_sites)
+        for j, params in enumerate(self.POINTS):
+            one = analytic_amplitudes(params, window, times)
+            assert psi[:, j].tobytes() == one.tobytes()
+            state = analytic_wavefunction(params, window, 0.0)
+            assert psi[1, j].tobytes() == state.amplitudes.tobytes()
+
+    def test_survival_equals_one_point_calls_byte_for_byte(self):
+        times = np.geomspace(0.1, 500.0, 200)
+        curves = survival_exact_batch(self.POINTS, times)
+        assert [c.params for c in curves] == self.POINTS
+        for curve, params in zip(curves, self.POINTS):
+            assert curve.values.tobytes() == survival_exact(params, times).values.tobytes()
+
+    @pytest.mark.parametrize("points", [[WalkParams(gamma=1.0), WalkParams(gamma=2.0)], []])
+    def test_batch_needs_one_gamma(self, points):
+        with pytest.raises(ValueError, match="one gamma"):
+            analytic_amplitudes_batch(points, LatticeWindow(50), [1.0])
+        with pytest.raises(ValueError, match="one gamma"):
+            survival_exact_batch(points, [1.0])
 
 
 class TestSurvivalAsymptotic:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,19 @@ def test_row_equals_the_scalar_loop_bit_for_bit(n_max):
         row = bessel_row(z, n_max)
         assert np.array_equal(row, bessel_row_loop(z, n_max))
         assert np.array_equal(bessel_rows(np.array([z]), n_max)[:, 0], row)
+
+
+# sha256 of the whole matrix, -0.0 and all. fig5's shared-start pass
+# rescales at 847 of its 1116 orders, the series job's per-column pass at
+# 225, so a rescale that touched the wrong rows would change these bytes.
+@pytest.mark.parametrize("matrix, digest", [
+    (lambda: bessel_rows(2 * np.geomspace(0.1, 500, 200), 2),
+     "282257ce2587545ef01d378df9218f3149c7c0d986a0e2d7cb1f536e7686a59f"),
+    (lambda: bessel_row_batch(2 * np.linspace(0, 500, 201), 1061),
+     "c9480bde6bfb34f889130277ae0b67ed88b40c090e77896356e00927b51636a3"),
+], ids=["fig5", "series"])
+def test_rescaled_matrix_bytes_are_pinned(matrix, digest):
+    assert hashlib.sha256(matrix().tobytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ctqw import bessel
 from ctqw.cli import main
 from ctqw.tables import read_csv
 
@@ -11,6 +13,20 @@ PI = math.pi
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def miller_calls(monkeypatch):
+    """The argument count of each Miller recurrence run while the test runs."""
+    calls = []
+    miller = bessel._miller
+
+    def counted(z, n_max, shared_start):
+        calls.append(np.size(z))
+        return miller(z, n_max, shared_start)
+
+    monkeypatch.setattr(bessel, "_miller", counted)
+    return calls
 
 
 class TestWavefunction:
@@ -131,6 +147,14 @@ class TestFigures:
         assert run("figure", "fig3", "--out", str(tmp_path / "fig3.csv")) == 0
         header, rows = read_csv(tmp_path / "fig3.csv")
         assert len(header) == 7
+
+    @pytest.mark.parametrize("figure_id, columns", [("fig1", 1), ("fig5", 200)])
+    def test_one_miller_pass_per_run(self, tmp_path, miller_calls, figure_id, columns):
+        # every D panel shares gamma and the time grid, so one Bessel matrix
+        # serves all three; a second main call computes it again
+        for _ in range(2):
+            assert run("figure", figure_id, "--out", str(tmp_path / "f.csv")) == 0
+        assert miller_calls == [columns, columns]
 
     def test_figure_requires_out(self):
         assert run("figure", "fig4") == 2
@@ -292,6 +316,8 @@ BAD_INPUTS = [
      "2000 times x 1601115 sites need 3202230000 amplitudes"),
     (None, ["observables", "--npoints", "10000000", "--tmax", "1"],
      "10000000 times x 85 sites need 850000000 amplitudes (12.7 GiB), over the limit of 33554432"),
+    (None, ["observables", "--source", "spectral", "--tmax", "100000", "--npoints", "100000"],
+     "100000 times x 400703 sites need 40070300000 amplitudes"),
     # RK4 site-steps are counted in floats before the integrator starts
     (None, ["observables", "--source", "ode", "--step", "1e-300", *GRID],
      "needs 8.5e+301 site-steps, over the limit of 1e+10"),
@@ -311,6 +337,9 @@ BAD_INPUTS = [
     (None, ["sweep", "--gamma", "1e200", "--steps", "2"], "overflows a double, gamma=1e+200"),
     (None, ["sweep", "--gamma", "1.3e154", "--tmax", "1", "--steps", "2"], "overflows a double"),
     (None, ["sweep", "--gamma", "1.3e154", "--tmax", "0", "--steps", "2"], "overflows a double"),
+    # sweep rows are counted before the sweep grid is allocated
+    (None, ["sweep", "--steps", "100000000"],
+     "sweep of 100000000 steps, over the limit of 1000000"),
 ]
 
 
@@ -346,8 +375,10 @@ def test_spectral_window_is_checked(capsys, argv):
     assert captured.err.rstrip().endswith("at t=20.0" if argv[0] == "wavefunction" else "at t=10.0")
 
 
-def test_validate_quick():
+def test_validate_quick(miller_calls):
     assert run("validate", "--quick") == 0
+    # one closed-form pass per time (gt = 1, 5) serves all 16 grid points
+    assert len(miller_calls) == 2
 
 
 def test_validate_quick_from_config(tmp_path, capsys):
