@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bessel import start_order
 from .analytic import (
     analytic_amplitudes,
     analytic_amplitudes_batch,
@@ -31,20 +32,20 @@ from .model import (
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
 from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
 from .tables import WRITERS, emit_table
-from .validate import GRID_ALPHA, GRID_D, GRID_T, oracle_triangle
+from .validate import GRID_ALPHA, GRID_D, GRID_T, QUICK_T, oracle_triangle
 
-# Largest window half width or ring a run may ask for, about 1000x the
-# largest grid in the README or the benchmark. Past it the Bessel
-# recurrence, the lattice and the ring outgrow any run's time and memory.
-MAX_SITES = 10**6
-# Largest (times x sites) amplitude matrix, 512 MiB of complex: about 80x the
-# largest grid in the README or the benchmark, and one wavefunction at MAX_SITES.
-MAX_AMPLITUDES = 2**25
-# Most RK4 site-steps (steps x window sites x rows) a run may ask for: 700x a
-# default `observables --source ode` run (1 row), 44x the full `validate` (16).
-MAX_ODE_SITE_STEPS = 10**10
-# Most rows a sweep may compute, about 11 s at the 11 us each row takes.
-MAX_SWEEP_STEPS = 10**6
+# The most work one run may ask for, per counted quantity; each key is the unit
+# its amount is named in. Sites and amplitudes bound memory. The others bound
+# time, each to about 25 s of CPU on a 2-vCPU VM at the rate measured beside it.
+LIMITS = {
+    "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
+    "amplitudes": 2**25,  # times x window sites: 512 MiB of complex
+    "order-columns": 10**9,  # Bessel recurrence, start order x times: 9-26 ns each
+    "FFT points": 3 * 10**8,  # spectral, ring sites x (1 + times): 54-74 ns each
+    "site-steps": 1e9,  # RK4, steps x window sites x rows: 20-40 ns each
+    "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each
+    "rows": 10**6,  # of a time-grid or sweep table: 4-26 us each
+}
 
 
 class ConfigError(Exception):
@@ -174,20 +175,6 @@ def _spec(cls, *values, **fields):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_sites(what, needed):
-    if needed > MAX_SITES:
-        raise ConfigError(f"{what} {needed} sites, over the limit of {MAX_SITES}")
-
-
-def _check_reach(gamma, t_max):
-    """Reject a run whose light cone at t_max needs more than MAX_SITES sites."""
-    from decimal import Context, Decimal  # here, to keep it out of the import time
-
-    front = (2 * Decimal(gamma) * Decimal(t_max)).normalize(Context(4))  # no float overflow
-    needed = light_cone_half_width(gamma, t_max) if front <= MAX_SITES else front
-    _check_sites(f"t={t_max:g} at gamma={gamma:g} needs a window half width of", needed)
-
-
 def _params(args) -> WalkParams:
     return _spec(WalkParams, gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
 
@@ -201,8 +188,6 @@ def _check_grid(args):
         raise ConfigError("tmax must exceed tmin")
     if args.spacing == "log" and args.tmin <= 0:
         raise ConfigError("log spacing requires tmin > 0")
-    if args.npoints > MAX_AMPLITUDES:  # before the grid is allocated
-        raise ConfigError(f"{args.npoints} grid times, over the limit of {MAX_AMPLITUDES}")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -210,43 +195,86 @@ def _time_grid(args) -> np.ndarray:
     return space(args.tmin, args.tmax, args.npoints)
 
 
-def _window(params, t_max, args) -> LatticeWindow:
-    if args.half_width is not None:
-        _check_sites("--half-width asks for", args.half_width)
-        return _spec(LatticeWindow, args.half_width)
-    return window_for(params, t_max)
+def _window(params, args) -> LatticeWindow:
+    if args.half_width is None:
+        return window_for(params, args.tmax)
+    return _spec(LatticeWindow, args.half_width)
 
 
-def _ring(params, t_max, args) -> RingSpec:
-    if args.ring_size is not None:
-        _check_sites("--ring-size asks for", args.ring_size)
-        return _spec(RingSpec, args.ring_size)
-    return RingSpec.for_run(params, t_max)
+def _ring(params, args) -> RingSpec:
+    if args.ring_size is None:
+        return RingSpec.for_run(params, args.tmax)
+    return _spec(RingSpec, args.ring_size)
 
 
-def _sized_window(params, args, n_times) -> LatticeWindow:
-    """The window for n_times rows up to --tmax, checked before anything is
-    allocated: its light cone against MAX_SITES, the matrix against
-    MAX_AMPLITUDES."""
-    _check_reach(params.gamma, args.tmax)
-    window = _window(params, args.tmax, args)
-    needed = n_times * window.n_sites
-    if needed > MAX_AMPLITUDES:
-        raise ConfigError(
-            f"{n_times} times x {window.n_sites} sites need {needed} amplitudes "
-            f"({needed * 16 / 2**30:.3g} GiB), over the limit of {MAX_AMPLITUDES}"
-        )
-    return window
+def _ode(params, args) -> OdeSpec:
+    return OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
 
 
-def _check_ode_work(t_max, step, n_sites, rows):
-    site_steps = -(-t_max // step) * n_sites * rows  # a float: a tiny step gives inf
-    if site_steps > MAX_ODE_SITE_STEPS:
-        on = f"{n_sites} sites" + (f" x {rows} rows" if rows > 1 else "")
-        raise ConfigError(
-            f"RK4 to t={t_max:g} at step {step:g} on {on} needs "
-            f"{site_steps:.3g} site-steps, over the limit of {MAX_ODE_SITE_STEPS:.0e}"
-        )
+def _rk4_counts(t_max, step, n_sites, rows):
+    steps = -(-t_max // step)  # a float: a tiny step gives inf
+    run = f"RK4 to t={t_max:g} at step {step:g}"
+    on = f"{n_sites} sites" + (f" x {rows} rows" if rows > 1 else "")
+    yield "site-steps", steps * n_sites * rows, f"{run} on {on} needs"
+    yield "steps", steps, f"{run} needs"
+
+
+def _counts(args):
+    """Yield (quantity, amount, what needs it) for the work args asks for,
+    sites first. Each amount is computed from args alone once those before
+    it are within their limits, so none overflows. Figures count nothing."""
+    if args.command == "sweep":
+        yield "rows", args.steps, "--steps asks for"
+    if args.command in ("sweep", "figure"):
+        return
+    t = max(QUICK_T if args.quick else GRID_T) if args.command == "validate" else args.tmax
+    from decimal import Context, Decimal  # here, to keep it out of the import time
+
+    front = (2 * Decimal(args.gamma) * Decimal(t)).normalize(Context(4))  # no float overflow
+    reach = light_cone_half_width(args.gamma, t) if front <= LIMITS["sites"] else front
+    yield "sites", reach, f"t={t:g} at gamma={args.gamma:g} needs a window half width of"
+    base = WalkParams(gamma=args.gamma)
+    if args.command == "validate":  # every grid point runs on the last time's window
+        rows = len(GRID_D) * len(GRID_ALPHA)
+        yield from _rk4_counts(t, OdeSpec.default_for(base).step, window_for(base, t).n_sites, rows)
+        return
+    n_times = 1 if args.command == "wavefunction" else args.npoints
+    n_max = 2  # survival needs J_0..J_2 only
+    if args.command != "survival":
+        if args.half_width is not None:
+            yield "sites", args.half_width, "--half-width asks for"
+        if args.source == "spectral" and args.ring_size is not None:
+            yield "sites", args.ring_size, "--ring-size asks for"
+        window = _window(base, args)
+        sites = window.n_sites
+        yield "amplitudes", n_times * sites, f"{n_times} times x {sites} sites need"
+        n_max = window.half_width + 1
+    if args.command != "wavefunction":  # a wavefunction's rows are its window's sites
+        yield "rows", n_times, "--npoints asks for"
+    if args.command == "survival" or args.source == "analytic":
+        top = start_order(2.0 * args.gamma * t, n_max)
+        yield "order-columns", top * n_times, f"Bessel order {top} over {n_times} times needs"
+    elif args.source == "spectral":
+        size = _ring(base, args).size
+        yield "FFT points", size * (1 + n_times), f"{n_times} times on a ring of {size} sites need"
+    else:
+        yield from _rk4_counts(t, _ode(base, args).step, sites, 1)
+
+
+def _fmt(amount):
+    return f"{amount:.3g}" if isinstance(amount, float) else str(amount)
+
+
+def check_budget(args) -> dict:
+    """Refuse a run whose work is over a limit in LIMITS, before anything is
+    allocated; return the largest amount of each quantity it counted."""
+    counts = {}
+    for quantity, amount, what in _counts(args):
+        limit = LIMITS[quantity]
+        if amount > limit:
+            raise ConfigError(f"{what} {_fmt(amount)} {quantity}, over the limit of {_fmt(limit)}")
+        counts[quantity] = max(amount, counts.get(quantity, amount))
+    return counts
 
 
 def _amplitudes(params, args, window, times) -> np.ndarray:
@@ -254,10 +282,8 @@ def _amplitudes(params, args, window, times) -> np.ndarray:
     if args.source == "analytic":
         return analytic_amplitudes(params, window, times)
     if args.source == "spectral":
-        return spectral_amplitudes(params, _ring(params, args.tmax, args), window, times)
-    ode = OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
-    _check_ode_work(args.tmax, ode.step, window.n_sites, 1)
-    return propagate_ode_batch([params], window, ode, times)[:, 0]
+        return spectral_amplitudes(params, _ring(params, args), window, times)
+    return propagate_ode_batch([params], window, _ode(params, args), times)[:, 0]
 
 
 def _emit(args, header, rows):
@@ -290,7 +316,8 @@ def cmd_wavefunction(args):
     params = _params(args)
     if args.tmax < 0:
         raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
-    window = _sized_window(params, args, 1)
+    check_budget(args)
+    window = _window(params, args)
     amps = _amplitudes(params, args, window, np.array([args.tmax]))
     _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(window, amps[0]))
     return 0
@@ -299,7 +326,8 @@ def cmd_wavefunction(args):
 def cmd_observables(args):
     params = _params(args)
     _check_grid(args)
-    window = _sized_window(params, args, args.npoints)
+    check_budget(args)
+    window = _window(params, args)
     times = _time_grid(args)
     amps = _amplitudes(params, args, window, times)
     rows = list(zip(times, *observables_from_amplitudes(window, amps)))
@@ -310,7 +338,7 @@ def cmd_observables(args):
 def cmd_survival(args):
     params = _params(args)
     _check_grid(args)
-    _check_reach(params.gamma, args.tmax)
+    check_budget(args)
     curve = survival_exact(params, _time_grid(args))
     _emit(args, ["t", "P_surv"], list(zip(curve.times, curve.values)))
     return 0
@@ -319,8 +347,9 @@ def cmd_survival(args):
 def cmd_sweep(args):
     if args.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {args.steps}")
-    if args.steps > MAX_SWEEP_STEPS:  # before the sweep grid is allocated
-        raise ConfigError(f"sweep of {args.steps} steps, over the limit of {MAX_SWEEP_STEPS}")
+    if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
+        raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
+    check_budget(args)
     rows = []
     for v in np.linspace(args.start, args.stop, args.steps):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
@@ -399,11 +428,8 @@ def cmd_figure(args):
 
 def cmd_validate(args):
     base = _spec(WalkParams, gamma=args.gamma)  # rejects a non-positive gamma
-    times = (1.0, 5.0) if args.quick else GRID_T
-    _check_reach(base.gamma, max(times))
-    _check_ode_work(max(times), OdeSpec.default_for(base).step,  # every point on the outer window
-                    window_for(base, max(times)).n_sites, len(GRID_D) * len(GRID_ALPHA))
-    results = oracle_triangle(times=times, gamma=base.gamma)
+    check_budget(args)
+    results = oracle_triangle(times=QUICK_T if args.quick else GRID_T, gamma=base.gamma)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"

@@ -36,6 +36,11 @@ class NumericalValidationError(RuntimeError):
     """A numerical sanity check (norm conservation, leakage) failed."""
 
 
+# |alpha| above this is refused: far past any phase with meaning, and small
+# enough that 2*alpha and alpha*x stay finite on any window.
+_MAX_PHASE = 1e300
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Hopping rate gamma > 0, hopping phase alpha (radians), and the
@@ -48,8 +53,8 @@ class WalkParams:
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not abs(self.alpha) <= _MAX_PHASE:
+            raise ValueError(f"alpha must be finite and within +-{_MAX_PHASE:g}, got {self.alpha}")
         if not 0.0 <= self.delocalization <= 1.0:
             raise ValueError(
                 f"delocalization must be in [0, 1], got {self.delocalization}"

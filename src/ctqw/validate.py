@@ -13,6 +13,7 @@ from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, pro
 GRID_D = (0.0, 0.3, 0.5, 1.0)
 GRID_ALPHA = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
 GRID_T = (1.0, 10.0, 50.0)
+QUICK_T = (1.0, 5.0)  # validate --quick
 
 SPECTRAL_TOL = 1e-10
 ODE_TOL = 1e-8

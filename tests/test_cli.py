@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctqw import bessel
-from ctqw.cli import main
+from ctqw.cli import build_parser, check_budget, main
 from ctqw.tables import read_csv
 
 PI = math.pi
@@ -315,31 +315,55 @@ BAD_INPUTS = [
     (None, ["observables", "--tmax", "400000", "--npoints", "2000"],
      "2000 times x 1601115 sites need 3202230000 amplitudes"),
     (None, ["observables", "--npoints", "10000000", "--tmax", "1"],
-     "10000000 times x 85 sites need 850000000 amplitudes (12.7 GiB), over the limit of 33554432"),
+     "10000000 times x 85 sites need 850000000 amplitudes, over the limit of 33554432"),
     (None, ["observables", "--source", "spectral", "--tmax", "100000", "--npoints", "100000"],
      "100000 times x 400703 sites need 40070300000 amplitudes"),
     # RK4 site-steps are counted in floats before the integrator starts
     (None, ["observables", "--source", "ode", "--step", "1e-300", *GRID],
-     "needs 8.5e+301 site-steps, over the limit of 1e+10"),
+     "needs 8.5e+301 site-steps, over the limit of 1e+09"),
     (None, ["wavefunction", "--source", "ode", "--step", "1e-9", "--tmax", "1"],
      "RK4 to t=1 at step 1e-09 on 85 sites needs 8.5e+10 site-steps"),
     (None, ["observables", "--source", "ode", "--tmax", "100000", "--npoints", "2"],
-     "needs 4.01e+13 site-steps, over the limit of 1e+10"),
+     "needs 4.01e+13 site-steps, over the limit of 1e+09"),
     (None, ["observables", "--source", "ode", "--step", "5e-324", *GRID], "needs inf site-steps"),
     # validate counts RK4 site-steps for every grid row on the outer window
     (None, ["validate", "--gamma", "1000"],
      "RK4 to t=50 at step 1e-06 on 200559 sites x 16 rows needs 1.6e+14 site-steps"),
     # survival's time grid is sized before it is allocated
     (None, ["survival", "--npoints", "100000000", "--tmax", "10"],
-     "100000000 grid times, over the limit of 33554432"),
+     "--npoints asks for 100000000 rows, over the limit of 1000000"),
     # sweep's MSD column must be a finite double
     (None, ["sweep", "--tmax", "1e200", "--steps", "2"], "MSD at tmax=1e+200 overflows a double"),
     (None, ["sweep", "--gamma", "1e200", "--steps", "2"], "overflows a double, gamma=1e+200"),
     (None, ["sweep", "--gamma", "1.3e154", "--tmax", "1", "--steps", "2"], "overflows a double"),
     (None, ["sweep", "--gamma", "1.3e154", "--tmax", "0", "--steps", "2"], "overflows a double"),
+    (None, ["sweep", "--sweep-param", "alpha", "--start", "-1e308", "--stop", "1e308"],
+     "sweep from -1e+308 to 1e+308 overflows a double"),
+    # a phase whose products with the sites or with 2 overflow gave nan tables or tracebacks
+    (None, ["observables", "--alpha", "1e308", *GRID], "alpha must be finite and within +-1e+300"),
+    (None, ["survival", "--alpha", "-1e308", *GRID], "alpha must be finite and within +-1e+300"),
     # sweep rows are counted before the sweep grid is allocated
     (None, ["sweep", "--steps", "100000000"],
-     "sweep of 100000000 steps, over the limit of 1000000"),
+     "--steps asks for 100000000 rows, over the limit of 1000000"),
+    # work no single size flag shows: the Bessel start order follows gamma*t,
+    # not the window, and FFT work follows the ring times the times
+    (None, ["survival", "--tmax", "400000", "--npoints", "100000"],
+     "Bessel order 800944 over 100000 times needs 80094400000 order-columns, "
+     "over the limit of 1000000000"),
+    (None, ["observables", "--half-width", "1", "--tmax", "400000", "--npoints", "1000000"],
+     "needs 800944000000 order-columns, over the limit of 1000000000"),
+    (None, ["observables", "--source", "spectral", "--ring-size", "1000000", "--half-width", "50",
+            "--tmax", "1", "--npoints", "300000"],
+     "300000 times on a ring of 1000000 sites need 300001000000 FFT points, "
+     "over the limit of 300000000"),
+    (None, ["validate", "--gamma", "6"],
+     "on 1303 sites x 16 rows needs 6.25e+09 site-steps, over the limit of 1e+09"),
+    # on a small window the fixed cost of each RK4 step rules
+    (None, ["observables", "--source", "ode", "--step", "1e-7", *GRID],
+     "RK4 to t=1 at step 1e-07 needs 1e+07 steps, over the limit of 1e+06"),
+    # emitting a table row costs microseconds, whatever the window
+    (None, ["observables", "--half-width", "1", "--tmax", "1e-6", "--npoints", "2000000"],
+     "--npoints asks for 2000000 rows, over the limit of 1000000"),
 ]
 
 
@@ -360,6 +384,27 @@ def test_bad_input_exits_2(tmp_path, capsys, config, argv, message):
     assert "Traceback" not in captured.err
     assert message in captured.err
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+# The benchmark's jobs, written out here: a limit tightened below one of them
+# fails this test rather than the benchmark.
+BENCHMARK_JOBS = [
+    ["validate", "--quick"],
+    ["validate"],
+    *[["figure", f"fig{n}", "--out", "fig.csv"] for n in range(1, 6)],
+    *[["observables", "--dparam", "0.3", "--alpha", "1.2", "--source", source,
+       "--tmax", tmax, "--npoints", npoints, "--out", "series.csv"]
+      for source, tmax, npoints in (("analytic", "500.0", "201"), ("spectral", "500.0", "201"),
+                                    ("ode", "10.0", "21"))],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_JOBS, ids=" ".join)
+def test_benchmark_jobs_are_within_budget(argv):
+    counts = check_budget(build_parser().parse_args(argv))  # counts only; nothing runs
+    if argv == ["validate"]:
+        # 50000 steps of 1e-3 to t=50, on 281 sites, for 16 grid points
+        assert counts["site-steps"] == 50000 * 281 * 16
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,109 @@
+"""Fuzz the CLI's exit-code contract: 0 ok, 1 I/O, 2 config, 3 numerical.
+
+Hypothesis draws argv from the CLI grammar (valid, extreme, non-finite and
+garbage values; whole, ``--flag=value`` and abbreviated flags; config-file
+lines) and runs ``main`` in-process with every work limit set low, so each
+example finishes in milliseconds. Seeded, so tier-1 stays deterministic.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ctqw import cli
+
+# every quantity of cli.LIMITS, low enough that no example takes long
+LOW_LIMITS = {
+    "sites": 400,
+    "amplitudes": 20_000,
+    "order-columns": 200_000,
+    "FFT points": 200_000,
+    "site-steps": 300_000,
+    "steps": 3_000.0,
+    "rows": 300,
+}
+
+
+def _values(valid, extreme, bad):
+    """Each valid value drawn three times as often as each extreme or bad one."""
+    return st.sampled_from(valid * 3 + extreme + bad)
+
+
+FLOATS = _values(["0", "0.25", "1", "2.5", "5", "-1e-3"],
+                 ["-1", "1e-7", "5e-324", "50", "1e9", "1e300", "-1e308", "1.3e154"],
+                 ["nan", "inf", "-inf", "x", ""])
+INTS = _values(["2", "3", "7", "40"], ["0", "1", "201", "-5", "1000001", "9" * 40], ["2.5", "x"])
+VALUES = {
+    **dict.fromkeys(["--gamma", "--alpha", "--dparam", "--tmin", "--tmax", "--start", "--stop",
+                     "--step"], FLOATS),
+    **dict.fromkeys(["--npoints", "--half-width", "--ring-size", "--steps"], INTS),
+    "--source": st.sampled_from(["analytic", "spectral", "ode", "bogus"]),
+    "--spacing": st.sampled_from(["lin", "log", "cubic"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--sweep-param": st.sampled_from(["dparam", "alpha", "gamma"]),
+    "--quick": st.sampled_from(["true", "no", "maybe"]),  # config lines only; a flag takes none
+}
+COMMON = ["--gamma", "--alpha", "--dparam", "--format"]
+GRID = ["--tmin", "--tmax", "--npoints", "--spacing"]
+NUMERICS = ["--source", "--half-width", "--ring-size", "--step"]
+FLAGS = {
+    "wavefunction": COMMON + NUMERICS + ["--tmax"],
+    "observables": COMMON + GRID + NUMERICS,
+    "survival": COMMON + GRID,
+    "sweep": COMMON + ["--sweep-param", "--start", "--stop", "--steps", "--tmax"],
+    "figure": COMMON,
+    "validate": ["--gamma", "--quick"],
+}
+
+
+@st.composite
+def invocations(draw):
+    """(argv without --out/--config, config lines, output name or None)."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "figure":
+        argv.append(draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4", "fig5", "fig9"])))
+    lines = []
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1, max_size=5)):
+        value = draw(VALUES[flag])
+        form = draw(st.sampled_from(["spaced", "joined", "abbreviated", "config"]))
+        if form == "config":
+            lines.append(f"{flag[2:].replace('-', draw(st.sampled_from('-_')))} = {value}")
+        elif flag == "--quick":
+            argv.append(flag)
+        else:
+            name = flag[: draw(st.integers(4, len(flag)))] if form == "abbreviated" else flag
+            argv += [f"{name}={value}"] if form == "joined" else [name, value]
+    if draw(st.integers(0, 3)) == 3:  # a line no config may hold
+        lines.append(draw(st.sampled_from(["nonsense = 3", "no equals sign", "config = b.cfg"])))
+    lines += draw(st.lists(st.sampled_from(["# a comment", ""]), max_size=1))
+    out = draw(st.sampled_from([None, "out.csv", "out.json", "missing/out.csv", "."]))
+    return argv, lines, out
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_every_argv_keeps_the_exit_code_contract(invocation):
+    argv, lines, out = invocation
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "LIMITS", LOW_LIMITS)
+        tmp = Path(tmp)
+        if lines:
+            (tmp / "run.cfg").write_text("\n".join(lines) + "\n")
+            argv = argv + ["--config", str(tmp / "run.cfg")]
+        if out is not None:
+            argv = argv + ["--out", str(tmp / out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        written = sorted(p.name for p in tmp.rglob("*") if p.name != "run.cfg")
+    assert code in (0, 1, 2, 3), (argv, lines, code)
+    assert "Traceback" not in stderr.getvalue(), (argv, lines)
+    if code != 0:
+        assert written == [], (argv, lines, written)

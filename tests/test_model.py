@@ -40,10 +40,16 @@ class TestWalkParams:
                 WalkParams(alpha=bad)
             with pytest.raises(ValueError):
                 WalkParams(delocalization=bad)
-        WalkParams(gamma=2.0, alpha=-17.0, delocalization=1.0)  # alpha unrestricted
+        WalkParams(gamma=2.0, alpha=-17.0, delocalization=1.0)  # alpha not reduced mod 2 pi
 
     def test_alpha_not_normalized(self):
         assert WalkParams(alpha=7.0).alpha == 7.0
+
+    def test_alpha_bounded_before_its_products_overflow(self):
+        assert WalkParams(alpha=-1e300).alpha == -1e300
+        for bad in (1.000001e300, -1e308):
+            with pytest.raises(ValueError, match="alpha must be finite and within"):
+                WalkParams(alpha=bad)
 
 
 class TestLatticeWindow:
