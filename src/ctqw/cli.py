@@ -8,7 +8,9 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .model import (
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
 from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
 from .tables import WRITERS, emit_table
-from .validate import GRID_ALPHA, GRID_D, GRID_T, QUICK_T, oracle_triangle
+from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 
 # The most work one run may ask for, per counted quantity; each key is the unit
 # its amount is named in. Sites and amplitudes bound memory. The others bound
@@ -175,115 +177,120 @@ def _spec(cls, *values, **fields):
         raise ConfigError(str(exc)) from exc
 
 
-def _params(args) -> WalkParams:
-    return _spec(WalkParams, gamma=args.gamma, alpha=args.alpha, delocalization=args.dparam)
-
-
-def _check_grid(args):
-    if args.npoints < 2:
-        raise ConfigError(f"npoints must be >= 2, got {args.npoints}")
-    if args.tmin < 0:
-        raise ConfigError(f"tmin must be >= 0, got {args.tmin}")
-    if args.tmax <= args.tmin:
-        raise ConfigError("tmax must exceed tmin")
-    if args.spacing == "log" and args.tmin <= 0:
-        raise ConfigError("log spacing requires tmin > 0")
-
-
-def _time_grid(args) -> np.ndarray:
-    space = np.geomspace if args.spacing == "log" else np.linspace
-    return space(args.tmin, args.tmax, args.npoints)
-
-
-def _window(params, args) -> LatticeWindow:
-    if args.half_width is None:
-        return window_for(params, args.tmax)
-    return _spec(LatticeWindow, args.half_width)
-
-
-def _ring(params, args) -> RingSpec:
-    if args.ring_size is None:
-        return RingSpec.for_run(params, args.tmax)
-    return _spec(RingSpec, args.ring_size)
-
-
-def _ode(params, args) -> OdeSpec:
-    return OdeSpec.default_for(params) if args.step is None else _spec(OdeSpec, step=args.step)
-
-
-def _rk4_counts(t_max, step, n_sites, rows):
-    steps = -(-t_max // step)  # a float: a tiny step gives inf
-    run = f"RK4 to t={t_max:g} at step {step:g}"
-    on = f"{n_sites} sites" + (f" x {rows} rows" if rows > 1 else "")
-    yield "site-steps", steps * n_sites * rows, f"{run} on {on} needs"
-    yield "steps", steps, f"{run} needs"
-
-
-def _counts(args):
-    """Yield (quantity, amount, what needs it) for the work args asks for,
-    sites first. Each amount is computed from args alone once those before
-    it are within their limits, so none overflows. Figures count nothing."""
-    if args.command == "sweep":
-        yield "rows", args.steps, "--steps asks for"
-    if args.command in ("sweep", "figure"):
-        return
-    t = max(QUICK_T if args.quick else GRID_T) if args.command == "validate" else args.tmax
-    from decimal import Context, Decimal  # here, to keep it out of the import time
-
-    front = (2 * Decimal(args.gamma) * Decimal(t)).normalize(Context(4))  # no float overflow
-    reach = light_cone_half_width(args.gamma, t) if front <= LIMITS["sites"] else front
-    yield "sites", reach, f"t={t:g} at gamma={args.gamma:g} needs a window half width of"
-    base = WalkParams(gamma=args.gamma)
-    if args.command == "validate":  # every grid point runs on the last time's window
-        rows = len(GRID_D) * len(GRID_ALPHA)
-        yield from _rk4_counts(t, OdeSpec.default_for(base).step, window_for(base, t).n_sites, rows)
-        return
-    n_times = 1 if args.command == "wavefunction" else args.npoints
-    n_max = 2  # survival needs J_0..J_2 only
-    if args.command != "survival":
-        if args.half_width is not None:
-            yield "sites", args.half_width, "--half-width asks for"
-        if args.source == "spectral" and args.ring_size is not None:
-            yield "sites", args.ring_size, "--ring-size asks for"
-        window = _window(base, args)
-        sites = window.n_sites
-        yield "amplitudes", n_times * sites, f"{n_times} times x {sites} sites need"
-        n_max = window.half_width + 1
-    if args.command != "wavefunction":  # a wavefunction's rows are its window's sites
-        yield "rows", n_times, "--npoints asks for"
-    if args.command == "survival" or args.source == "analytic":
-        top = start_order(2.0 * args.gamma * t, n_max)
-        yield "order-columns", top * n_times, f"Bessel order {top} over {n_times} times needs"
-    elif args.source == "spectral":
-        size = _ring(base, args).size
-        yield "FFT points", size * (1 + n_times), f"{n_times} times on a ring of {size} sites need"
-    else:
-        yield from _rk4_counts(t, _ode(base, args).step, sites, 1)
-
-
 def _fmt(amount):
     return f"{amount:.3g}" if isinstance(amount, float) else str(amount)
 
 
-def check_budget(args) -> dict:
-    """Refuse a run whose work is over a limit in LIMITS, before anything is
-    allocated; return the largest amount of each quantity it counted."""
-    counts = {}
-    for quantity, amount, what in _counts(args):
+@dataclass
+class Plan:
+    """What one run chose from its arguments, and the largest amount of each
+    quantity of LIMITS that its work needs. A spectral run has a ring, an RK4
+    run an ode spec; validate's points are the oracle triangle's."""
+
+    params: Optional[WalkParams] = None
+    times: Sequence[float] = ()
+    window: Optional[LatticeWindow] = None
+    ring: Optional[RingSpec] = None
+    ode: Optional[OdeSpec] = None
+    points: Sequence[WalkParams] = ()
+    counts: dict = field(default_factory=dict)
+
+    def count(self, quantity, amount, what):
+        """Refuse an amount over its limit; record the largest amount counted."""
         limit = LIMITS[quantity]
         if amount > limit:
             raise ConfigError(f"{what} {_fmt(amount)} {quantity}, over the limit of {_fmt(limit)}")
-        counts[quantity] = max(amount, counts.get(quantity, amount))
-    return counts
+        self.counts[quantity] = max(amount, self.counts.get(quantity, amount))
 
 
-def _amplitudes(params, args, window, times) -> np.ndarray:
-    """args.source's (times x sites) amplitude matrix on the window."""
-    if args.source == "analytic":
-        return analytic_amplitudes(params, window, times)
-    if args.source == "spectral":
-        return spectral_amplitudes(params, _ring(params, args), window, times)
-    return propagate_ode_batch([params], window, _ode(params, args), times)[:, 0]
+def plan(args) -> Plan:
+    """Check args and choose the run they ask for: params, times, window, and
+    ring or RK4 spec. Nothing runs. Each choice is made only once the work it
+    sizes is within LIMITS, sites first, so none overflows and each refusal
+    names the first fault. Figures count nothing."""
+    run, command = Plan(), args.command
+    if command == "sweep":
+        if args.steps < 2:
+            raise ConfigError(f"steps must be >= 2, got {args.steps}")
+        if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
+            raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
+        run.count("rows", args.steps, "--steps asks for")
+    if command in ("sweep", "figure"):
+        return run
+    run.params = _spec(WalkParams, gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
+                       delocalization=getattr(args, "dparam", 0.0))
+    if command == "validate":
+        run.times = QUICK_T if args.quick else GRID_T
+    elif command == "wavefunction":
+        if args.tmax < 0:
+            raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
+        run.times = np.array([args.tmax])
+    else:  # a time grid, built once its rows are counted
+        if args.npoints < 2:
+            raise ConfigError(f"npoints must be >= 2, got {args.npoints}")
+        if args.tmin < 0:
+            raise ConfigError(f"tmin must be >= 0, got {args.tmin}")
+        if args.tmax <= args.tmin:
+            raise ConfigError("tmax must exceed tmin")
+        if args.spacing == "log" and args.tmin <= 0:
+            raise ConfigError("log spacing requires tmin > 0")
+    t = max(run.times) if command == "validate" else args.tmax
+    from decimal import Context, Decimal  # here, to keep it out of the import time
+
+    front = (2 * Decimal(args.gamma) * Decimal(t)).normalize(Context(4))  # no float overflow
+    reach = light_cone_half_width(args.gamma, t) if front <= LIMITS["sites"] else front
+    run.count("sites", reach, f"t={t:g} at gamma={args.gamma:g} needs a window half width of")
+    if command == "validate":  # every grid point runs on the last time's window
+        run.points, run.window, run.ode = triangle_plan(run.times, gamma=args.gamma)
+    else:
+        n_times = 1 if command == "wavefunction" else args.npoints
+        n_max = 2  # survival needs J_0..J_2 only
+        if command != "survival":
+            if args.half_width is not None:
+                run.count("sites", args.half_width, "--half-width asks for")
+            if args.source == "spectral" and args.ring_size is not None:
+                run.count("sites", args.ring_size, "--ring-size asks for")
+            run.window = (window_for(run.params, t) if args.half_width is None
+                          else _spec(LatticeWindow, args.half_width))
+            sites = run.window.n_sites
+            run.count("amplitudes", n_times * sites, f"{n_times} times x {sites} sites need")
+            n_max = run.window.half_width + 1
+        if command != "wavefunction":  # a wavefunction's rows are its window's sites
+            run.count("rows", n_times, "--npoints asks for")
+        if command == "survival" or args.source == "analytic":
+            top = start_order(2.0 * args.gamma * t, n_max)
+            run.count("order-columns", top * n_times,
+                      f"Bessel order {top} over {n_times} times needs")
+        elif args.source == "spectral":
+            run.ring = (RingSpec.for_run(run.params, t) if args.ring_size is None
+                        else _spec(RingSpec, args.ring_size))
+            size = run.ring.size
+            run.count("FFT points", size * (1 + n_times),
+                      f"{n_times} times on a ring of {size} sites need")
+        else:
+            run.points = [run.params]
+            run.ode = (OdeSpec.default_for(run.params) if args.step is None
+                       else _spec(OdeSpec, step=args.step))
+    if run.ode is not None:
+        steps = -(-t // run.ode.step)  # a float: a tiny step gives inf
+        sites, rows = run.window.n_sites, len(run.points)
+        rk4 = f"RK4 to t={t:g} at step {run.ode.step:g}"
+        on = f"{sites} sites" + (f" x {rows} rows" if rows > 1 else "")
+        run.count("site-steps", steps * sites * rows, f"{rk4} on {on} needs")
+        run.count("steps", steps, f"{rk4} needs")
+    if command in ("observables", "survival"):
+        space = np.geomspace if args.spacing == "log" else np.linspace
+        run.times = space(args.tmin, args.tmax, args.npoints)
+    return run
+
+
+def _amplitudes(run) -> np.ndarray:
+    """The plan's (times x sites) amplitude matrix on its window, by its route."""
+    if run.ring is not None:
+        return spectral_amplitudes(run.params, run.ring, run.window, run.times)
+    if run.ode is not None:
+        return propagate_ode_batch(run.points, run.window, run.ode, run.times)[:, 0]
+    return analytic_amplitudes(run.params, run.window, run.times)
 
 
 def _emit(args, header, rows):
@@ -312,44 +319,25 @@ def _t_cross(alpha):
     return math.inf if tc is None else tc
 
 
-def cmd_wavefunction(args):
-    params = _params(args)
-    if args.tmax < 0:
-        raise ConfigError(f"tmax must be >= 0, got {args.tmax}")
-    check_budget(args)
-    window = _window(params, args)
-    amps = _amplitudes(params, args, window, np.array([args.tmax]))
-    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(window, amps[0]))
+def cmd_wavefunction(args, run):
+    amps = _amplitudes(run)
+    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, amps[0]))
     return 0
 
 
-def cmd_observables(args):
-    params = _params(args)
-    _check_grid(args)
-    check_budget(args)
-    window = _window(params, args)
-    times = _time_grid(args)
-    amps = _amplitudes(params, args, window, times)
-    rows = list(zip(times, *observables_from_amplitudes(window, amps)))
+def cmd_observables(args, run):
+    rows = list(zip(run.times, *observables_from_amplitudes(run.window, _amplitudes(run))))
     _emit(args, ["t", "mean_x", "msd", "survival"], rows)
     return 0
 
 
-def cmd_survival(args):
-    params = _params(args)
-    _check_grid(args)
-    check_budget(args)
-    curve = survival_exact(params, _time_grid(args))
+def cmd_survival(args, run):
+    curve = survival_exact(run.params, run.times)
     _emit(args, ["t", "P_surv"], list(zip(curve.times, curve.values)))
     return 0
 
 
-def cmd_sweep(args):
-    if args.steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {args.steps}")
-    if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
-        raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
-    check_budget(args)
+def cmd_sweep(args, run):
     rows = []
     for v in np.linspace(args.start, args.stop, args.steps):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
@@ -417,7 +405,7 @@ def _fig5():
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
 
 
-def cmd_figure(args):
+def cmd_figure(args, run):
     if args.out is None:
         raise ConfigError("figure requires --out (panel files derive from it)")
     for tag, header, rows in FIGURES[args.figure_id]():
@@ -426,10 +414,8 @@ def cmd_figure(args):
     return 0
 
 
-def cmd_validate(args):
-    base = _spec(WalkParams, gamma=args.gamma)  # rejects a non-positive gamma
-    check_budget(args)
-    results = oracle_triangle(times=QUICK_T if args.quick else GRID_T, gamma=base.gamma)
+def cmd_validate(args, run):
+    results = oracle_triangle(times=run.times, gamma=run.params.gamma)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"
@@ -456,7 +442,7 @@ def main(argv=None) -> int:
         if args.config:
             # argv[0] is the subcommand; the file's tokens go before every flag
             args = parser.parse_args(argv[:1] + load_config(args.config, args) + argv[1:])
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, plan(args))  # one plan for the whole run
     except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a bad argv
         return exc.code
     except ConfigError as exc:

@@ -107,7 +107,10 @@ def spectral_amplitudes(
     psi0[initial.window.sites() % ring.size] = initial.amplitudes
 
     k = 2.0 * math.pi * np.arange(ring.size) / ring.size
-    cosk = np.cos(params.alpha - k)
+    alpha = params.alpha
+    if abs(alpha) > math.pi:  # alpha - k would lose k; libm's sin and cos reduce alpha exactly
+        alpha = math.atan2(math.sin(alpha), math.cos(alpha))
+    cosk = np.cos(alpha - k)
     psi_k = np.fft.fft(psi0)
     on_ring = window.sites() % ring.size
     amps = np.empty((times.size, window.n_sites), dtype=complex)

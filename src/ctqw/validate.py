@@ -2,12 +2,12 @@
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .analytic import analytic_amplitudes_batch
-from .model import WalkParams, window_for
+from .model import LatticeWindow, WalkParams, window_for
 from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, propagate_spectral
 
 GRID_D = (0.0, 0.3, 0.5, 1.0)
@@ -30,6 +30,19 @@ class CheckResult:
         return self.max_deviation < self.tolerance
 
 
+def triangle_plan(
+    times: Sequence[float],
+    d_values: Sequence[float] = GRID_D,
+    alphas: Sequence[float] = GRID_ALPHA,
+    gamma: float = 1.0,
+) -> Tuple[List[WalkParams], LatticeWindow, OdeSpec]:
+    """The triangle's (D, alpha) points, and the window and step of its one
+    RK4 pass over all of them: the latest time's window, the default step."""
+    points = [WalkParams(gamma=gamma, alpha=a, delocalization=d) for d in d_values for a in alphas]
+    base = WalkParams(gamma=gamma)
+    return points, window_for(base, max(times)), OdeSpec.default_for(base)
+
+
 def oracle_triangle(
     times: Sequence[float] = GRID_T,
     d_values: Sequence[float] = GRID_D,
@@ -41,12 +54,10 @@ def oracle_triangle(
     Exact vs spectral must agree within 1e-10, exact vs RK4 within 1e-8.
     Each time is compared on its own light-cone window.
     """
-    points = [WalkParams(gamma=gamma, alpha=a, delocalization=d) for d in d_values for a in alphas]
+    points, outer, ode = triangle_plan(times, d_values, alphas, gamma)
     base = WalkParams(gamma=gamma)
-    # one RK4 pass for all points, on the window of the latest time
     checkpoints = sorted(times)
-    outer = window_for(base, checkpoints[-1])
-    snapshots = propagate_ode_batch(points, outer, OdeSpec.default_for(base), checkpoints)
+    snapshots = propagate_ode_batch(points, outer, ode, checkpoints)
     ode_amps = dict(zip(checkpoints, snapshots))
     results = []
     for t in times:
@@ -61,18 +72,7 @@ def oracle_triangle(
             p_spec = propagate_spectral(params, ring, t, window).probabilities()
             p_ode = np.abs(amps[lo : hi + 1]) ** 2
             tag = f"D={params.delocalization} alpha={params.alpha:.4f} gt={gamma * t:g}"
-            results.append(
-                CheckResult(
-                    f"exact-vs-spectral {tag}",
-                    float(abs(p_exact - p_spec).max()),
-                    SPECTRAL_TOL,
-                )
-            )
-            results.append(
-                CheckResult(
-                    f"exact-vs-ode {tag}",
-                    float(abs(p_exact - p_ode).max()),
-                    ODE_TOL,
-                )
-            )
+            for route, p, tol in (("spectral", p_spec, SPECTRAL_TOL), ("ode", p_ode, ODE_TOL)):
+                deviation = float(abs(p_exact - p).max())
+                results.append(CheckResult(f"exact-vs-{route} {tag}", deviation, tol))
     return results

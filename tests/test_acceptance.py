@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines on the terminal.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -30,6 +33,7 @@ from ctqw.validate import GRID_ALPHA, GRID_D, GRID_T, oracle_triangle
 from oracles import bessel_series
 
 PI = math.pi
+VALIDATE_STDOUT_SHA256 = "693dabcf954dd9ec7524780ccd9e2abf13387a99170c99297fc07d431edb0ea9"
 
 
 def _report(num, name, ok):
@@ -211,5 +215,9 @@ def test_criterion_9_determinism_and_formats(tmp_path):
     ts = np.geomspace(0.5, 400.0, 30)
     vals = survival_exact(WalkParams(alpha=0.9, delocalization=0.5), ts).values
     ok &= all(r[0] == t and r[1] == v for r, t, v in zip(rows, ts, vals))
-    ok &= cli_main(["validate"]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        ok &= cli_main(["validate"]) == 0
+    # the full validate report, byte for byte; re-record only for a deliberate change
+    ok &= hashlib.sha256(stdout.getvalue().encode()).hexdigest() == VALIDATE_STDOUT_SHA256
     _report(9, "determinism, round trip, validate", ok)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import bessel
-from ctqw.cli import build_parser, check_budget, main
+from ctqw import bessel, cli, validate
+from ctqw.cli import build_parser, main, plan
 from ctqw.tables import read_csv
 
 PI = math.pi
@@ -401,10 +401,33 @@ BENCHMARK_JOBS = [
 
 @pytest.mark.parametrize("argv", BENCHMARK_JOBS, ids=" ".join)
 def test_benchmark_jobs_are_within_budget(argv):
-    counts = check_budget(build_parser().parse_args(argv))  # counts only; nothing runs
+    counts = plan(build_parser().parse_args(argv)).counts  # counts only; nothing runs
     if argv == ["validate"]:
         # 50000 steps of 1e-3 to t=50, on 281 sites, for 16 grid points
         assert counts["site-steps"] == 50000 * 281 * 16
+
+
+def test_validate_runs_the_rk4_pass_its_plan_counted(monkeypatch):
+    plans, passes = [], []
+    real_plan, real_batch = cli.plan, validate.propagate_ode_batch
+
+    def spy_plan(args):
+        plans.append(real_plan(args))
+        return plans[-1]
+
+    def spy_batch(points, window, ode, times):
+        passes.append((len(points), window, ode))
+        return real_batch(points, window, ode, times)
+
+    monkeypatch.setattr(cli, "plan", spy_plan)
+    monkeypatch.setattr(validate, "propagate_ode_batch", spy_batch)
+    assert run("validate", "--quick") == 0
+    (counted,), ((rows, window, ode),) = plans, passes  # one plan, one RK4 pass
+    assert (rows, window, ode) == (len(counted.points), counted.window, counted.ode)
+    assert (rows, window.n_sites, ode.step) == (16, 2 * 50 + 1, 1e-3)
+    # 5000 steps of 1e-3 to gt=5, the latest quick time
+    assert counted.counts == {"sites": 50, "site-steps": 5000 * window.n_sites * rows,
+                              "steps": 5000}
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,6 +441,17 @@ def test_spectral_window_is_checked(capsys, argv):
     assert "Traceback" not in captured.err
     assert "window half_width=5 leaks norm" in captured.err
     assert captured.err.rstrip().endswith("at t=20.0" if argv[0] == "wavefunction" else "at t=10.0")
+
+
+def test_spectral_table_at_a_large_phase_matches_the_closed_form(tmp_path):
+    argv = ["observables", "--alpha", "1e17", "--dparam", "0.5", "--tmax", "2", "--npoints", "3"]
+    tables = {}
+    for source in ("analytic", "spectral"):
+        out = tmp_path / f"{source}.csv"
+        assert run(*argv, "--source", source, "--out", str(out)) == 0
+        tables[source] = np.array(read_csv(out)[1])
+    assert tables["analytic"][-1, 2] == pytest.approx(7.363, abs=1e-3)  # the MSD at t=2
+    assert np.abs(tables["spectral"] - tables["analytic"]).max() < 1e-10
 
 
 def test_validate_quick(miller_calls):

@@ -21,6 +21,7 @@ from ctqw import (
     spectral_amplitudes,
     window_for,
 )
+from ctqw.validate import SPECTRAL_TOL
 
 PI = math.pi
 
@@ -131,6 +132,14 @@ class TestSpectralAmplitudes:
     def test_undersized_ring_names_the_farthest_time(self):
         with pytest.raises(UndersizedGridError, match=r"at t=-50\.0 "):
             spectral_amplitudes(WalkParams(), RingSpec(64), LatticeWindow(5), [0.0, -50.0, 5.0])
+
+    @pytest.mark.parametrize("alpha", [4.0, -7.5, 1e4, 1e5, 3e6, 1e9, 1e12, 1e17, 1e300, -1e300])
+    def test_phase_past_pi_matches_the_closed_form(self, alpha):
+        # cos(alpha - k) loses k once ulp(alpha) nears the momentum spacing
+        params = WalkParams(alpha=alpha, delocalization=0.5)
+        window, ring = window_for(params, 50.0), RingSpec.for_run(params, 50.0)
+        p_spec = np.abs(spectral_amplitudes(params, ring, window, [50.0])[0]) ** 2
+        assert np.abs(p_spec - analytic_probability(params, window, 50.0)).max() < SPECTRAL_TOL
 
 
 class TestOde:
