@@ -8,8 +8,6 @@ from .analytic import (
     SurvivalCurve,
     analytic_amplitudes,
     analytic_amplitudes_batch,
-    analytic_probability,
-    analytic_wavefunction,
     is_fine_tuned,
     survival_asymptotic,
     survival_exact,
@@ -21,7 +19,6 @@ from .model import (
     NumericalValidationError,
     UndersizedGridError,
     WalkParams,
-    WaveState,
     dispersion,
     group_velocity,
     initial_state_momentum,
@@ -38,15 +35,12 @@ from .observables import (
     mean_velocity,
     msd_closed_form,
     observables_from_amplitudes,
-    observables_from_state,
     smoothed_survival,
 )
 from .propagators import (
     OdeSpec,
     RingSpec,
-    propagate_ode,
     propagate_ode_batch,
-    propagate_spectral,
     spectral_amplitudes,
 )
 from .validate import oracle_triangle
@@ -55,8 +49,6 @@ __all__ = [
     "SurvivalCurve",
     "analytic_amplitudes",
     "analytic_amplitudes_batch",
-    "analytic_probability",
-    "analytic_wavefunction",
     "is_fine_tuned",
     "survival_asymptotic",
     "survival_exact",
@@ -68,7 +60,6 @@ __all__ = [
     "NumericalValidationError",
     "UndersizedGridError",
     "WalkParams",
-    "WaveState",
     "dispersion",
     "group_velocity",
     "initial_state_momentum",
@@ -83,13 +74,10 @@ __all__ = [
     "mean_velocity",
     "msd_closed_form",
     "observables_from_amplitudes",
-    "observables_from_state",
     "smoothed_survival",
     "OdeSpec",
     "RingSpec",
-    "propagate_ode",
     "propagate_ode_batch",
-    "propagate_spectral",
     "spectral_amplitudes",
     "oracle_triangle",
 ]

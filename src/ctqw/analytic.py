@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bessel import bessel_row_batch, bessel_rows
-from .model import LatticeWindow, WalkParams, WaveState, check_norm_deficit
+from .model import LatticeWindow, WalkParams, check_norm_deficit
 
 # i^n by n mod 4; exact phases, no complex exponentiation.
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -88,14 +88,13 @@ def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.
     return analytic_amplitudes_batch([params], window, times)[:, 0]
 
 
-def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> WaveState:
-    """Exact wavefunction on the window at time t >= 0."""
-    return WaveState(time=t, window=window, amplitudes=analytic_amplitudes(params, window, [t])[0])
+# One-time wrappers that the benchmark's tracer binds; they go with ROADMAP item 1.
+def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> np.ndarray:
+    return analytic_amplitudes(params, window, [t])[0]
 
 
 def analytic_probability(params: WalkParams, window: LatticeWindow, t: float) -> np.ndarray:
-    """P(x, t) = |psi(x, t)|^2 on the window."""
-    return analytic_wavefunction(params, window, t).probabilities()
+    return np.abs(analytic_wavefunction(params, window, t)) ** 2
 
 
 def survival_exact_batch(points: Sequence[WalkParams], times) -> List[SurvivalCurve]:

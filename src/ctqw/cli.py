@@ -300,11 +300,6 @@ def _emit(args, header, rows):
         emit_table(args.out, args.format, header, rows)
 
 
-def _tagged_path(out, tag):
-    p = Path(out)
-    return str(p.with_name(f"{p.stem}_{tag}{p.suffix}"))
-
-
 _WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
 
 
@@ -408,8 +403,9 @@ FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _
 def cmd_figure(args, run):
     if args.out is None:
         raise ConfigError("figure requires --out (panel files derive from it)")
+    out = Path(args.out)
     for tag, header, rows in FIGURES[args.figure_id]():
-        path = args.out if tag is None else _tagged_path(args.out, tag)
+        path = args.out if tag is None else str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
         emit_table(path, args.format, header, rows)
     return 0
 

@@ -87,24 +87,6 @@ class LatticeWindow:
         return x + self.half_width
 
 
-@dataclass
-class WaveState:
-    """Complex amplitude per site of a window at a fixed time."""
-
-    time: float
-    window: LatticeWindow
-    amplitudes: np.ndarray
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def amplitude(self, x: int) -> complex:
-        return complex(self.amplitudes[self.window.index(x)])
-
-
 def light_cone_half_width(gamma: float, t_max: float) -> int:
     """Window half width keeping truncation leakage below ~1e-12 up to t_max.
 
@@ -120,26 +102,30 @@ def window_for(params: WalkParams, t_max: float) -> LatticeWindow:
     return LatticeWindow(light_cone_half_width(params.gamma, abs(t_max)))
 
 
+def band_phase(alpha: float) -> float:
+    """alpha as given within +-pi; beyond, the same angle in (-pi, pi], so that
+    alpha - k keeps k. libm's sin and cos reduce alpha exactly."""
+    return alpha if abs(alpha) <= math.pi else math.atan2(math.sin(alpha), math.cos(alpha))
+
+
 def dispersion(params: WalkParams, k):
     """Band energy E(k) = -2*gamma*cos(alpha - k)."""
-    return -2.0 * params.gamma * np.cos(params.alpha - k)
+    return -2.0 * params.gamma * np.cos(band_phase(params.alpha) - k)
 
 
 def group_velocity(params: WalkParams, k):
     """dE/dk = -2*gamma*sin(alpha - k)."""
-    return -2.0 * params.gamma * np.sin(params.alpha - k)
+    return -2.0 * params.gamma * np.sin(band_phase(params.alpha) - k)
 
 
-def initial_state_position(params: WalkParams, window: LatticeWindow) -> WaveState:
-    """Three-site initial state: sqrt(1-D) on x=0, sqrt(D/2) on x=+-1."""
-    if window.half_width < 1:
-        raise ValueError("window must contain the sites x = -1, 0, 1")
+def initial_state_position(params: WalkParams, window: LatticeWindow) -> np.ndarray:
+    """Three-site initial state on the window: sqrt(1-D) on x=0, sqrt(D/2) on x=+-1."""
     d = params.delocalization
     amps = np.zeros(window.n_sites, dtype=complex)
     amps[window.index(0)] = math.sqrt(1.0 - d)
     amps[window.index(1)] = math.sqrt(d / 2.0)
     amps[window.index(-1)] = math.sqrt(d / 2.0)
-    return WaveState(time=0.0, window=window, amplitudes=amps)
+    return amps
 
 
 def initial_state_momentum(params: WalkParams, k):

@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .analytic import SurvivalCurve, survival_exact
-from .model import LatticeWindow, WalkParams, WaveState
+from .model import LatticeWindow, WalkParams
 
 # Half period (in gamma*t) of the J_n(2 gamma t)^2 oscillations; the
 # smoothing window spans one full oscillation.
@@ -83,12 +83,6 @@ def observables_from_amplitudes(window: LatticeWindow, amplitudes: np.ndarray):
 # layer by this name; the alias goes when its TRACED list names
 # observables_from_amplitudes (ROADMAP item 1).
 series_from_states = observables_from_amplitudes
-
-
-def observables_from_state(state: WaveState) -> Tuple[float, float, float]:
-    """(mean position, MSD, survival probability) of a unit-norm state."""
-    rows = observables_from_amplitudes(state.window, state.amplitudes[None, :])
-    return tuple(float(r[0]) for r in rows)
 
 
 def backfire_ordering(

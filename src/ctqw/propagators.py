@@ -26,11 +26,10 @@ from .model import (
     NumericalValidationError,
     UndersizedGridError,
     WalkParams,
-    WaveState,
+    band_phase,
     check_norm_deficit,
     initial_state_position,
     light_cone_half_width,
-    window_for,
 )
 
 EDGE_LEAK_LIMIT = 1e-14
@@ -85,14 +84,14 @@ def spectral_amplitudes(
     ring: RingSpec,
     window: LatticeWindow,
     times,
-    initial: Optional[WaveState] = None,
+    initial: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Amplitudes on the window at each time, shape (len(times), n_sites), by
     diagonalizing in momentum space; exactly unitary.
 
-    Evolves the three-site initial state, or a window state of any norm
-    passed as ``initial``; negative times run backwards (time-reversal
-    checks).  Only the phase, the inverse FFT and the gather depend on t.
+    Evolves the three-site initial state, or ``initial`` amplitudes of any norm
+    on the window; negative times run backwards (time-reversal checks).  Only
+    the phase, the inverse FFT and the gather depend on t.
     """
     times = np.asarray(times, dtype=float)
     ring.validate_for(params, float(times[np.argmax(np.abs(times))]))  # the farthest time
@@ -100,39 +99,21 @@ def spectral_amplitudes(
         raise UndersizedGridError("observation window larger than the ring")
 
     if initial is None:
-        initial = initial_state_position(params, LatticeWindow(1))
-    if initial.window.n_sites > ring.size:
-        raise UndersizedGridError("initial state window larger than the ring")
+        initial = initial_state_position(params, window)
+    if np.shape(initial) != (window.n_sites,):
+        raise ValueError(f"initial amplitudes must have the window's shape ({window.n_sites},)")
+    on_ring = window.sites() % ring.size
     psi0 = np.zeros(ring.size, dtype=complex)
-    psi0[initial.window.sites() % ring.size] = initial.amplitudes
+    psi0[on_ring] = initial
 
     k = 2.0 * math.pi * np.arange(ring.size) / ring.size
-    alpha = params.alpha
-    if abs(alpha) > math.pi:  # alpha - k would lose k; libm's sin and cos reduce alpha exactly
-        alpha = math.atan2(math.sin(alpha), math.cos(alpha))
-    cosk = np.cos(alpha - k)
+    cosk = np.cos(band_phase(params.alpha) - k)
     psi_k = np.fft.fft(psi0)
-    on_ring = window.sites() % ring.size
     amps = np.empty((times.size, window.n_sites), dtype=complex)
     for i, t in enumerate(times):
         amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]
     check_norm_deficit(window, amps, times, np.sum(np.abs(psi0) ** 2))  # the norm it keeps
     return amps
-
-
-def propagate_spectral(
-    params: WalkParams,
-    ring: RingSpec,
-    t: float,
-    window: Optional[LatticeWindow] = None,
-    initial: Optional[WaveState] = None,
-) -> WaveState:
-    """One time of ``spectral_amplitudes``; the window defaults to t's light cone."""
-    if window is None:
-        window = window_for(params, t)
-    amps = spectral_amplitudes(params, ring, window, [t], initial)[0]
-    t0 = 0.0 if initial is None else initial.time
-    return WaveState(time=t0 + t, window=window, amplitudes=amps)
 
 
 def propagate_ode_batch(
@@ -173,7 +154,7 @@ def propagate_ode_batch(
     # are then whole contiguous blocks; the hops are tiled to the shape they
     # multiply, so no operand is broadcast
     hop_left, hop_right = (np.tile(hop, (window.n_sites - 1, 1)) for hop in (hop_left, hop_right))
-    psi = np.stack([initial_state_position(p, window).amplitudes for p in params], axis=1)
+    psi = np.stack([initial_state_position(p, window) for p in params], axis=1)
 
     k1, k2, k3, k4, tmp, acc = (np.empty_like(psi) for _ in range(6))
     spill = np.empty_like(psi[1:])
@@ -230,16 +211,10 @@ def check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float, lo: int,
         )
 
 
-def propagate_ode(
-    params: WalkParams,
-    window: LatticeWindow,
-    ode: OdeSpec,
-    t: float,
-) -> WaveState:
-    """Integrate the truncated Schroedinger equation to time t >= 0 with RK4.
+# One-time wrappers that the benchmark's tracer binds; they go with ROADMAP item 1.
+def propagate_spectral(params: WalkParams, ring: RingSpec, t: float, window: LatticeWindow):
+    return spectral_amplitudes(params, ring, window, [t])[0]
 
-    One row of ``propagate_ode_batch``; if t is not a multiple of the step,
-    one shortened final step is taken.
-    """
-    amps = propagate_ode_batch([params], window, ode, [t])[0, 0]
-    return WaveState(time=t, window=window, amplitudes=amps)
+
+def propagate_ode(params: WalkParams, window: LatticeWindow, ode: OdeSpec, t: float) -> np.ndarray:
+    return propagate_ode_batch([params], window, ode, [t])[0, 0]

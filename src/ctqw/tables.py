@@ -7,9 +7,7 @@ from typing import Iterable, Sequence
 
 def format_value(v) -> str:
     """17-significant-digit text; parses back to the identical float."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int,)) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool):
         return str(v)
     f = float(v)
     if math.isinf(f):
@@ -27,8 +25,6 @@ def write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def write_json(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def cell(v):
-        if isinstance(v, str):
-            return v
         f = float(v)
         if math.isinf(f) or math.isnan(f):
             return format_value(f)
@@ -50,13 +46,3 @@ def emit_table(path, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) 
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="") as fh:
         WRITERS[fmt](fh, header, rows)
-
-
-def read_csv(path):
-    """Parse a file written by write_csv back into (header, float rows);
-    'inf' cells come back as float('inf')."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return header, rows

@@ -8,7 +8,7 @@ import numpy as np
 
 from .analytic import analytic_amplitudes_batch
 from .model import LatticeWindow, WalkParams, window_for
-from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, propagate_spectral
+from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, spectral_amplitudes
 
 GRID_D = (0.0, 0.3, 0.5, 1.0)
 GRID_ALPHA = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
@@ -69,7 +69,7 @@ def oracle_triangle(
         ring = RingSpec.for_run(base, t)
         exact = np.abs(analytic_amplitudes_batch(points, window, [t])[0]) ** 2
         for params, p_exact, amps in zip(points, exact, ode_amps[t]):
-            p_spec = propagate_spectral(params, ring, t, window).probabilities()
+            p_spec = np.abs(spectral_amplitudes(params, ring, window, [t])[0]) ** 2
             p_ode = np.abs(amps[lo : hi + 1]) ** 2
             tag = f"D={params.delocalization} alpha={params.alpha:.4f} gt={gamma * t:g}"
             for route, p, tol in (("spectral", p_spec, SPECTRAL_TOL), ("ode", p_ode, ODE_TOL)):

@@ -20,17 +20,17 @@ from ctqw import (
     fit_power_law,
     mean_velocity,
     msd_closed_form,
-    observables_from_state,
-    propagate_spectral,
+    observables_from_amplitudes,
     smoothed_survival,
+    spectral_amplitudes,
     survival_exact,
     window_for,
 )
 from ctqw.bessel import bessel_row, start_order
 from ctqw.cli import main as cli_main
-from ctqw.tables import read_csv
 from ctqw.validate import GRID_ALPHA, GRID_D, GRID_T, oracle_triangle
 from oracles import bessel_series
+from readback import read_csv
 
 PI = math.pi
 VALIDATE_STDOUT_SHA256 = "693dabcf954dd9ec7524780ccd9e2abf13387a99170c99297fc07d431edb0ea9"
@@ -41,12 +41,32 @@ def _report(num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def test_criterion_1_oracle_triangle():
-    results = oracle_triangle()
+@pytest.fixture(scope="module")
+def full_validate():
+    """One full `ctqw validate` run, the 48-point triangle: its exit code, its
+    stdout, and the CheckResults that its oracle triangle returned."""
+    results = []
+
+    def recording_triangle(*args, **kwargs):
+        out = oracle_triangle(*args, **kwargs)
+        results.extend(out)
+        return out
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr("ctqw.cli.oracle_triangle", recording_triangle)
+        code = cli_main(["validate"])
+    return code, stdout.getvalue(), results
+
+
+def test_criterion_1_oracle_triangle(full_validate):
+    _, _, results = full_validate
     failed = [r for r in results if not r.passed]
     for r in failed:
         print(f"  {r.name}: {r.max_deviation:.3e} >= {r.tolerance:g}")
-    _report(1, "oracle triangle (48-point grid)", not failed)
+    # two routes checked at every (D, alpha, t) point of the grid
+    full_grid = len(results) == 2 * len(GRID_D) * len(GRID_ALPHA) * len(GRID_T)
+    _report(1, "oracle triangle (48-point grid)", full_grid and not failed)
 
 
 def test_criterion_2_drift_law():
@@ -62,17 +82,17 @@ def test_criterion_2_drift_law():
         times = np.linspace(0.0, t_max, 26)
         window = window_for(params, t_max)
         ring = RingSpec.for_run(params, t_max)
-        means = [
-            observables_from_state(propagate_spectral(params, ring, t, window))[0]
-            for t in times
-        ]
+        means = observables_from_amplitudes(
+            window, spectral_amplitudes(params, ring, window, times)
+        )[0]
         slope = np.polyfit(times, means, 1)[0]
         ok &= abs(slope - mean_velocity(params)) < 1e-6
     # Table-1 taxonomy: zero drift at the extreme states and at alpha in {0, pi}
     for d, a in [(0.0, 1.3), (1.0, 0.7), (0.5, 0.0), (0.5, PI)]:
         params = WalkParams(alpha=a, delocalization=d)
-        ring = RingSpec.for_run(params, 50.0)
-        mean = observables_from_state(propagate_spectral(params, ring, 50.0))[0]
+        window, ring = window_for(params, 50.0), RingSpec.for_run(params, 50.0)
+        amps = spectral_amplitudes(params, ring, window, [50.0])
+        (mean,), _, _ = observables_from_amplitudes(window, amps)
         ok &= abs(mean) < 1e-9
     _report(2, "drift law and taxonomy", ok)
 
@@ -85,7 +105,8 @@ def test_criterion_3_msd_law():
         for d in GRID_D:
             for a in GRID_ALPHA:
                 params = WalkParams(alpha=a, delocalization=d)
-                msd = observables_from_state(propagate_spectral(params, ring, t, window))[1]
+                amps = spectral_amplitudes(params, ring, window, [t])
+                _, (msd,), _ = observables_from_amplitudes(window, amps)
                 ok &= abs(msd - msd_closed_form(params, t)) <= 1e-6 * msd_closed_form(params, t)
                 ok &= abs(msd_closed_form(params, 0.0) - d) < 1e-12
     _report(3, "MSD closed form vs numeric", ok)
@@ -194,7 +215,7 @@ def test_criterion_8_bessel_properties():
     _report(8, "Bessel recurrence/normalization/series oracle", ok)
 
 
-def test_criterion_9_determinism_and_formats(tmp_path):
+def test_criterion_9_determinism_and_formats(tmp_path, full_validate):
     ok = True
     for fig in ("fig1", "fig4", "fig5"):
         a = tmp_path / f"{fig}_a.csv"
@@ -215,9 +236,8 @@ def test_criterion_9_determinism_and_formats(tmp_path):
     ts = np.geomspace(0.5, 400.0, 30)
     vals = survival_exact(WalkParams(alpha=0.9, delocalization=0.5), ts).values
     ok &= all(r[0] == t and r[1] == v for r, t, v in zip(rows, ts, vals))
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        ok &= cli_main(["validate"]) == 0
+    code, stdout, _ = full_validate
+    ok &= code == 0
     # the full validate report, byte for byte; re-record only for a deliberate change
-    ok &= hashlib.sha256(stdout.getvalue().encode()).hexdigest() == VALIDATE_STDOUT_SHA256
+    ok &= hashlib.sha256(stdout.encode()).hexdigest() == VALIDATE_STDOUT_SHA256
     _report(9, "determinism, round trip, validate", ok)

@@ -11,8 +11,6 @@ from ctqw import (
     WalkParams,
     analytic_amplitudes,
     analytic_amplitudes_batch,
-    analytic_probability,
-    analytic_wavefunction,
     initial_state_position,
     is_fine_tuned,
     mean_velocity,
@@ -36,14 +34,14 @@ class TestWavefunction:
         for d in (0.0, 0.37, 1.0):
             params = WalkParams(alpha=1.234, delocalization=d)
             window = LatticeWindow(5)
-            psi0 = initial_state_position(params, window).amplitudes
-            psi = analytic_wavefunction(params, window, 0.0).amplitudes
+            psi0 = initial_state_position(params, window)
+            psi = analytic_amplitudes(params, window, [0.0])[0]
             assert np.allclose(psi, psi0, rtol=0, atol=1e-15)
 
     def test_localized_center_probability(self):
         params = WalkParams(gamma=1.0, alpha=0.9, delocalization=0.0)
         window = window_for(params, 1.0)
-        p = analytic_probability(params, window, 1.0)
+        p = np.abs(analytic_amplitudes(params, window, [1.0])[0]) ** 2
         assert p[window.index(0)] == pytest.approx(J0_2_SQ, abs=1e-13)
 
     def test_norm_and_symmetries_at_gt50(self):
@@ -51,16 +49,17 @@ class TestWavefunction:
         # fully delocalized and localized: symmetric under x -> -x
         for d in (0.0, 1.0):
             params = WalkParams(alpha=PI / 2, delocalization=d)
-            p = analytic_probability(params, window, 50.0)
+            p = np.abs(analytic_amplitudes(params, window, [50.0])[0]) ** 2
             assert np.allclose(p, p[::-1], rtol=0, atol=1e-12)
         # zero-phase fully delocalized: symmetric at any time
-        p = analytic_probability(WalkParams(alpha=0.0, delocalization=1.0), window, 37.5)
+        zero_phase = WalkParams(alpha=0.0, delocalization=1.0)
+        p = np.abs(analytic_amplitudes(zero_phase, window, [37.5])[0]) ** 2
         assert np.allclose(p, p[::-1], rtol=0, atol=1e-12)
 
     def test_intermediate_delocalization_bias(self):
         params = WalkParams(alpha=PI / 2, delocalization=0.5)
         window = window_for(params, 50.0)
-        p = analytic_probability(params, window, 50.0)
+        p = np.abs(analytic_amplitudes(params, window, [50.0])[0]) ** 2
         mean = np.sum(window.sites() * p)
         assert mean == pytest.approx(mean_velocity(params) * 50.0, abs=1e-8)
         assert mean == pytest.approx(-math.sqrt(2) * 50.0, abs=1e-8)
@@ -73,29 +72,29 @@ class TestWavefunction:
     )
     def test_unitarity(self, d, alpha, gt):
         params = WalkParams(alpha=alpha, delocalization=d)
-        state = analytic_wavefunction(params, window_for(params, gt), gt)
-        assert abs(state.norm_squared() - 1.0) < 1e-12
+        psi = analytic_amplitudes(params, window_for(params, gt), [gt])[0]
+        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-12
 
     def test_reflection_symmetry_in_alpha(self):
         window = window_for(WalkParams(), 20.0)
         for d, a in [(0.5, 0.8), (0.2, PI / 2), (1.0, -1.1)]:
-            p_plus = analytic_probability(WalkParams(alpha=a, delocalization=d), window, 20.0)
-            p_minus = analytic_probability(WalkParams(alpha=-a, delocalization=d), window, 20.0)
+            points = [WalkParams(alpha=a, delocalization=d), WalkParams(alpha=-a, delocalization=d)]
+            p_plus, p_minus = np.abs(analytic_amplitudes_batch(points, window, [20.0])[0]) ** 2
             assert np.allclose(p_minus, p_plus[::-1], rtol=0, atol=1e-12)
 
     def test_alpha_periodicity(self):
         window = window_for(WalkParams(), 10.0)
-        p1 = analytic_probability(WalkParams(alpha=0.9, delocalization=0.4), window, 10.0)
-        p2 = analytic_probability(WalkParams(alpha=0.9 + 2 * PI, delocalization=0.4), window, 10.0)
+        points = [WalkParams(alpha=a, delocalization=0.4) for a in (0.9, 0.9 + 2 * PI)]
+        p1, p2 = np.abs(analytic_amplitudes_batch(points, window, [10.0])[0]) ** 2
         assert np.allclose(p1, p2, rtol=0, atol=1e-12)
 
     def test_undersized_window_rejected(self):
         with pytest.raises(UndersizedGridError):
-            analytic_wavefunction(WalkParams(), LatticeWindow(10), 20.0)
+            analytic_amplitudes(WalkParams(), LatticeWindow(10), [20.0])
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            analytic_wavefunction(WalkParams(), LatticeWindow(50), -1.0)
+            analytic_amplitudes(WalkParams(), LatticeWindow(50), [-1.0])
 
     def test_time_vector_rows_equal_one_time_evaluations(self):
         params = WalkParams(gamma=1.3, alpha=0.7, delocalization=0.35)
@@ -104,7 +103,7 @@ class TestWavefunction:
         psi = analytic_amplitudes(params, window, times)
         assert psi.shape == (times.size, window.n_sites)
         for row, t in zip(psi, times):
-            assert np.array_equal(row, analytic_wavefunction(params, window, t).amplitudes)
+            assert np.array_equal(row, analytic_amplitudes(params, window, [t])[0])
 
     def test_time_vector_names_first_undersized_time(self):
         with pytest.raises(UndersizedGridError, match=r"at t=20\.0$"):
@@ -140,7 +139,7 @@ class TestSurvivalExact:
             )
             t = float(rng.uniform(0.1, 40.0)) / params.gamma
             window = window_for(params, t)
-            p = analytic_probability(params, window, t)
+            p = np.abs(analytic_amplitudes(params, window, [t])[0]) ** 2
             direct = p[window.index(-1)] + p[window.index(0)] + p[window.index(1)]
             assert survival_exact(params, [t]).values[0] == pytest.approx(direct, abs=1e-12)
 
@@ -176,8 +175,8 @@ class TestBatch:
         for j, params in enumerate(self.POINTS):
             one = analytic_amplitudes(params, window, times)
             assert psi[:, j].tobytes() == one.tobytes()
-            state = analytic_wavefunction(params, window, 0.0)
-            assert psi[1, j].tobytes() == state.amplitudes.tobytes()
+            at_zero = analytic_amplitudes(params, window, [0.0])[0]
+            assert psi[1, j].tobytes() == at_zero.tobytes()
 
     def test_survival_equals_one_point_calls_byte_for_byte(self):
         times = np.geomspace(0.1, 500.0, 200)

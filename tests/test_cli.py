@@ -6,7 +6,7 @@ import pytest
 
 from ctqw import bessel, cli, validate
 from ctqw.cli import build_parser, main, plan
-from ctqw.tables import read_csv
+from readback import read_csv
 
 PI = math.pi
 

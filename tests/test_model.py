@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+import ctqw
 from ctqw import (
     LatticeWindow,
     WalkParams,
@@ -92,6 +94,18 @@ class TestDispersion:
         assert group_velocity(WalkParams(gamma=1, alpha=PI / 2), 0.0) == pytest.approx(-2.0)
         assert group_velocity(WalkParams(gamma=1, alpha=0), 0.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("alpha", [1e17, -1e300])
+    def test_large_phase_keeps_k(self, alpha):
+        # alpha - k rounds k away once ulp(alpha) passes the momentum spacing;
+        # the angle-sum forms keep it
+        params = WalkParams(gamma=1.3, alpha=alpha)
+        ks = np.linspace(-PI, PI, 101)
+        cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+        energy = -2.0 * params.gamma * (cos_a * np.cos(ks) + sin_a * np.sin(ks))
+        velocity = -2.0 * params.gamma * (sin_a * np.cos(ks) - cos_a * np.sin(ks))
+        assert np.abs(dispersion(params, ks) - energy).max() < 1e-12
+        assert np.abs(group_velocity(params, ks) - velocity).max() < 1e-12
+
     def test_mean_velocity_is_momentum_average_of_group_velocity(self):
         for d, a in [(0.5, PI / 2), (0.3, 1.1), (0.9, -0.4)]:
             params = WalkParams(alpha=a, delocalization=d)
@@ -110,22 +124,25 @@ class TestDispersion:
 
 class TestInitialState:
     def test_localized(self):
-        st = initial_state_position(WalkParams(delocalization=0.0), LatticeWindow(3))
-        assert st.amplitude(0) == 1.0
-        assert st.norm_squared() == pytest.approx(1.0, abs=1e-15)
-        assert np.count_nonzero(st.amplitudes) == 1
+        window = LatticeWindow(3)
+        amps = initial_state_position(WalkParams(delocalization=0.0), window)
+        assert amps[window.index(0)] == 1.0
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-15)
+        assert np.count_nonzero(amps) == 1
 
     def test_fully_delocalized(self):
-        st = initial_state_position(WalkParams(delocalization=1.0), LatticeWindow(3))
-        assert st.amplitude(0) == 0.0
-        assert st.amplitude(1) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert st.amplitude(-1) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        window = LatticeWindow(3)
+        amps = initial_state_position(WalkParams(delocalization=1.0), window)
+        assert amps[window.index(0)] == 0.0
+        assert amps[window.index(1)] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert amps[window.index(-1)] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_intermediate(self):
-        st = initial_state_position(WalkParams(delocalization=0.5), LatticeWindow(2))
-        assert st.amplitude(0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert st.amplitude(1) == pytest.approx(0.5, abs=1e-15)
-        assert st.amplitude(-1) == pytest.approx(0.5, abs=1e-15)
+        window = LatticeWindow(2)
+        amps = initial_state_position(WalkParams(delocalization=0.5), window)
+        assert amps[window.index(0)] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert amps[window.index(1)] == pytest.approx(0.5, abs=1e-15)
+        assert amps[window.index(-1)] == pytest.approx(0.5, abs=1e-15)
 
     def test_momentum_amplitude_examples(self):
         assert initial_state_momentum(WalkParams(delocalization=0.0), 1.234) == pytest.approx(
@@ -168,3 +185,11 @@ class TestInitialState:
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
             initial_state_position(WalkParams(), LatticeWindow(0))
+
+
+def test_all_lists_every_public_name():
+    # the imports and __all__ in ctqw/__init__.py name each export twice
+    bound = {name for name, value in vars(ctqw).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(ctqw.__all__) == bound
+    assert len(ctqw.__all__) == len(bound)

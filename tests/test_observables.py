@@ -9,7 +9,6 @@ from ctqw import (
     RingSpec,
     SurvivalCurve,
     WalkParams,
-    WaveState,
     analytic_amplitudes,
     backfire_ordering,
     crossing_time,
@@ -18,10 +17,7 @@ from ctqw import (
     mean_velocity,
     msd_closed_form,
     observables_from_amplitudes,
-    observables_from_state,
-    propagate_ode,
     propagate_ode_batch,
-    propagate_spectral,
     smoothed_survival,
     spectral_amplitudes,
     survival_exact,
@@ -70,10 +66,12 @@ class TestMsdClosedForm:
             params = WalkParams(alpha=a, delocalization=d)
             window = window_for(params, t)
             expected = msd_closed_form(params, t)
-            spec = propagate_spectral(params, RingSpec.for_run(params, t), t, window)
-            assert observables_from_state(spec)[1] == pytest.approx(expected, rel=1e-6)
-            ode = propagate_ode(params, window, OdeSpec.default_for(params), t)
-            assert observables_from_state(ode)[1] == pytest.approx(expected, rel=1e-6)
+            spec = spectral_amplitudes(params, RingSpec.for_run(params, t), window, [t])
+            _, (msd,), _ = observables_from_amplitudes(window, spec)
+            assert msd == pytest.approx(expected, rel=1e-6)
+            ode = propagate_ode_batch([params], window, OdeSpec.default_for(params), [t])[:, 0]
+            _, (msd,), _ = observables_from_amplitudes(window, ode)
+            assert msd == pytest.approx(expected, rel=1e-6)
 
 
 class TestCrossingTime:
@@ -89,17 +87,17 @@ class TestCrossingTime:
 
 class TestObservablesFromState:
     def test_initial_moments(self):
+        window = LatticeWindow(3)
         for d, msd in [(1.0, 1.0), (0.5, 0.5), (0.0, 0.0)]:
-            st = initial_state_position(WalkParams(delocalization=d), LatticeWindow(3))
-            mean, msd_val, surv = observables_from_state(st)
+            amps = initial_state_position(WalkParams(delocalization=d), window)
+            (mean,), (msd_val,), (surv,) = observables_from_amplitudes(window, amps[None, :])
             assert mean == pytest.approx(0.0, abs=1e-15)
             assert msd_val == pytest.approx(msd, abs=1e-15)
             assert surv == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_unnormalized_state(self):
-        st = WaveState(0.0, LatticeWindow(2), np.ones(5, dtype=complex))
         with pytest.raises(ValueError):
-            observables_from_state(st)
+            observables_from_amplitudes(LatticeWindow(2), np.ones((1, 5), dtype=complex))
 
     def test_series_invariants(self):
         params = WalkParams(alpha=0.7, delocalization=0.4)
@@ -132,8 +130,8 @@ class TestObservablesFromAmplitudes:
             mean, msd, surv = observables_from_amplitudes(window, amps)
             assert mean.shape == msd.shape == surv.shape == (times.size,)
             for i, t in enumerate(times):
-                row = observables_from_state(WaveState(t, window, amps[i]))
-                assert (mean[i], msd[i], surv[i]) == row, (source, t)
+                row = observables_from_amplitudes(window, amps[i : i + 1])
+                assert (mean[i], msd[i], surv[i]) == tuple(float(r[0]) for r in row), (source, t)
 
     def test_rejects_an_unnormalized_row(self):
         params = WalkParams(alpha=0.4, delocalization=0.5)
@@ -157,12 +155,9 @@ class TestEhrenfest:
             times = np.linspace(0.0, t_max, 26)
             window = window_for(params, t_max)
             ring = RingSpec.for_run(params, t_max)
-            means = np.array(
-                [
-                    observables_from_state(propagate_spectral(params, ring, t, window))[0]
-                    for t in times
-                ]
-            )
+            means = observables_from_amplitudes(
+                window, spectral_amplitudes(params, ring, window, times)
+            )[0]
             slope, intercept = np.polyfit(times, means, 1)
             assert slope == pytest.approx(mean_velocity(params), abs=1e-6)
             assert np.abs(means - (slope * times + intercept)).max() < 1e-8

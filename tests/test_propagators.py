@@ -11,13 +11,10 @@ from ctqw import (
     RingSpec,
     UndersizedGridError,
     WalkParams,
-    WaveState,
-    analytic_probability,
+    analytic_amplitudes,
     initial_state_position,
-    observables_from_state,
-    propagate_ode,
+    observables_from_amplitudes,
     propagate_ode_batch,
-    propagate_spectral,
     spectral_amplitudes,
     window_for,
 )
@@ -43,44 +40,44 @@ class TestSpectral:
     def test_identity_at_time_zero(self):
         params = WalkParams(alpha=0.6, delocalization=0.4)
         window = LatticeWindow(5)
-        state = propagate_spectral(params, RingSpec(64), 0.0, window)
-        expected = initial_state_position(params, window).amplitudes
-        assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-14)
+        psi = spectral_amplitudes(params, RingSpec(64), window, [0.0])[0]
+        expected = initial_state_position(params, window)
+        assert np.allclose(psi, expected, rtol=0, atol=1e-14)
 
     def test_norm_preservation(self):
         params = WalkParams(gamma=1.3, alpha=1.9, delocalization=0.8)
         ring = RingSpec.for_run(params, 40.0)
-        state = propagate_spectral(params, ring, 40.0)
-        assert abs(state.norm_squared() - 1.0) < 1e-13
+        psi = spectral_amplitudes(params, ring, window_for(params, 40.0), [40.0])[0]
+        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-13
 
     def test_matches_analytic(self):
         for d, a, t in [(0.0, 0.0, 5.0), (0.5, PI / 4, 12.0), (1.0, PI / 2, 25.0)]:
             params = WalkParams(alpha=a, delocalization=d)
             window = window_for(params, t)
             ring = RingSpec.for_run(params, t)
-            p_spec = propagate_spectral(params, ring, t, window).probabilities()
-            p_exact = analytic_probability(params, window, t)
+            p_spec = np.abs(spectral_amplitudes(params, ring, window, [t])) ** 2
+            p_exact = np.abs(analytic_amplitudes(params, window, [t])) ** 2
             assert np.abs(p_spec - p_exact).max() < 1e-10
 
     def test_drift_example(self):
         params = WalkParams(alpha=PI / 2, delocalization=0.5)
-        state = propagate_spectral(params, RingSpec.for_run(params, 50.0), 50.0)
-        mean, _, _ = observables_from_state(state)
+        window = window_for(params, 50.0)
+        amps = spectral_amplitudes(params, RingSpec.for_run(params, 50.0), window, [50.0])
+        (mean,), _, _ = observables_from_amplitudes(window, amps)
         assert mean == pytest.approx(-math.sqrt(2) * 50.0, abs=1e-8)
 
     def test_time_reversal(self):
         params = WalkParams(alpha=0.8, delocalization=0.6)
         ring = RingSpec.for_run(params, 7.0)
         window = window_for(params, 7.0)
-        fwd = propagate_spectral(params, ring, 7.0, window)
-        back = propagate_spectral(params, ring, -7.0, window, initial=fwd)
-        expected = initial_state_position(params, window).amplitudes
-        assert np.allclose(back.amplitudes, expected, rtol=0, atol=1e-12)
-        assert back.time == pytest.approx(0.0)
+        fwd = spectral_amplitudes(params, ring, window, [7.0])[0]
+        back = spectral_amplitudes(params, ring, window, [-7.0], initial=fwd)[0]
+        expected = initial_state_position(params, window)
+        assert np.allclose(back, expected, rtol=0, atol=1e-12)
 
     def test_rejects_undersized_ring(self):
         with pytest.raises(UndersizedGridError):
-            propagate_spectral(WalkParams(), RingSpec(32), 50.0)
+            spectral_amplitudes(WalkParams(), RingSpec(32), window_for(WalkParams(), 50.0), [50.0])
 
 
 class TestSpectralAmplitudes:
@@ -93,33 +90,41 @@ class TestSpectralAmplitudes:
             amps = spectral_amplitudes(params, ring, window, times)
             assert amps.shape == (len(times), window.n_sites)
             for row, t in zip(amps, times):
-                assert np.array_equal(row, propagate_spectral(params, ring, t, window).amplitudes)
+                assert np.array_equal(row, spectral_amplitudes(params, ring, window, [t])[0])
 
     def test_initial_state_and_negative_time_through_the_wrapper(self):
         params = WalkParams(alpha=0.8, delocalization=0.6)
         ring = RingSpec.for_run(params, 7.0)
         window = window_for(params, 7.0)
-        fwd = propagate_spectral(params, ring, 7.0, window)
+        fwd = spectral_amplitudes(params, ring, window, [7.0])[0]
         times = [-7.0, 0.0, -2.5]
         amps = spectral_amplitudes(params, ring, window, times, initial=fwd)
         for row, t in zip(amps, times):
-            back = propagate_spectral(params, ring, t, window, initial=fwd)
-            assert np.array_equal(row, back.amplitudes)
-            assert back.time == 7.0 + t
+            back = spectral_amplitudes(params, ring, window, [t], initial=fwd)[0]
+            assert np.array_equal(row, back)
 
     def test_initial_state_of_any_norm_keeps_its_norm(self):
         params = WalkParams(alpha=0.8, delocalization=0.6)
         ring = RingSpec.for_run(params, 7.0)
         window = window_for(params, 7.0)
-        seed = initial_state_position(params, window)
-        half = WaveState(time=0.0, window=window, amplitudes=0.5 * seed.amplitudes)
+        half = 0.5 * initial_state_position(params, window)
         times = [0.0, 3.0, 7.0]
         amps = spectral_amplitudes(params, ring, window, times, initial=half)
         # scaling by 1/2 is exact, and the FFTs are linear
         assert np.array_equal(amps, 0.5 * spectral_amplitudes(params, ring, window, times))
         assert np.allclose(np.sum(np.abs(amps) ** 2, axis=1), 0.25, rtol=0, atol=1e-13)
+        small = LatticeWindow(5)
+        half = 0.5 * initial_state_position(params, small)
         with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=7\.0$"):
-            spectral_amplitudes(params, ring, LatticeWindow(5), [7.0], initial=half)
+            spectral_amplitudes(params, ring, small, [7.0], initial=half)
+
+    def test_initial_state_must_lie_on_the_window(self):
+        params = WalkParams(alpha=0.8, delocalization=0.6)
+        ring, window = RingSpec(64), LatticeWindow(5)
+        for initial in (initial_state_position(params, LatticeWindow(1)),
+                        initial_state_position(params, window)[None, :]):
+            with pytest.raises(ValueError, match=r"window's shape \(11,\)"):
+                spectral_amplitudes(params, ring, window, [0.0], initial=initial)
 
     def test_names_the_first_leaking_time(self):
         params = WalkParams(alpha=0.3, delocalization=0.5)
@@ -139,73 +144,74 @@ class TestSpectralAmplitudes:
         params = WalkParams(alpha=alpha, delocalization=0.5)
         window, ring = window_for(params, 50.0), RingSpec.for_run(params, 50.0)
         p_spec = np.abs(spectral_amplitudes(params, ring, window, [50.0])[0]) ** 2
-        assert np.abs(p_spec - analytic_probability(params, window, 50.0)).max() < SPECTRAL_TOL
+        p_exact = np.abs(analytic_amplitudes(params, window, [50.0])[0]) ** 2
+        assert np.abs(p_spec - p_exact).max() < SPECTRAL_TOL
 
 
 class TestOde:
     def test_identity_at_time_zero(self):
         params = WalkParams(alpha=1.0, delocalization=0.3)
         window = LatticeWindow(4)
-        state = propagate_ode(params, window, OdeSpec(1e-3), 0.0)
-        expected = initial_state_position(params, window).amplitudes
-        assert np.array_equal(state.amplitudes, expected)
+        psi = propagate_ode_batch([params], window, OdeSpec(1e-3), [0.0])[0, 0]
+        expected = initial_state_position(params, window)
+        assert np.array_equal(psi, expected)
 
     def test_matches_analytic(self):
         params = WalkParams(alpha=0.0, delocalization=1.0)
         window = window_for(params, 10.0)
-        state = propagate_ode(params, window, OdeSpec.default_for(params), 10.0)
-        p_exact = analytic_probability(params, window, 10.0)
-        assert np.abs(state.probabilities() - p_exact).max() < 1e-8
+        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [10.0])[:, 0]
+        p_exact = np.abs(analytic_amplitudes(params, window, [10.0])) ** 2
+        assert np.abs(np.abs(psi) ** 2 - p_exact).max() < 1e-8
 
     def test_msd_example(self):
         # MSD(gt=20) = 0.5 + 2*400*(1 - 0.25 + 0.25) = 800.5
         params = WalkParams(alpha=PI / 4, delocalization=0.5)
         window = window_for(params, 20.0)
-        state = propagate_ode(params, window, OdeSpec.default_for(params), 20.0)
-        _, msd, _ = observables_from_state(state)
+        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [20.0])[:, 0]
+        _, (msd,), _ = observables_from_amplitudes(window, psi)
         assert msd == pytest.approx(800.5, rel=1e-5)
 
     def test_partial_final_step(self):
         params = WalkParams(alpha=0.5, delocalization=0.4)
         t = 1.00037  # not a multiple of the step
         window = window_for(params, t)
-        state = propagate_ode(params, window, OdeSpec(1e-3), t)
-        p_exact = analytic_probability(params, window, t)
-        assert np.abs(state.probabilities() - p_exact).max() < 1e-9
+        psi = propagate_ode_batch([params], window, OdeSpec(1e-3), [t])[:, 0]
+        p_exact = np.abs(analytic_amplitudes(params, window, [t])) ** 2
+        assert np.abs(np.abs(psi) ** 2 - p_exact).max() < 1e-9
 
     def test_norm_drift_bounded(self):
         params = WalkParams(gamma=1.5, alpha=2.0, delocalization=0.7)
         window = window_for(params, 10.0)
-        state = propagate_ode(params, window, OdeSpec.default_for(params), 10.0)
-        assert abs(state.norm_squared() - 1.0) < 1e-9
+        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [10.0])[0, 0]
+        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-9
 
     def test_convergence_order_is_four(self):
         params = WalkParams(alpha=PI / 6, delocalization=0.5)
         t = 2.0
         window = window_for(params, t)
         ring = RingSpec.for_run(params, t)
-        ref = propagate_spectral(params, ring, t, window).amplitudes
+        ref = spectral_amplitudes(params, ring, window, [t])[0]
         errs = []
         for h in (0.01, 0.005):
-            psi = propagate_ode(params, window, OdeSpec(h), t).amplitudes
+            psi = propagate_ode_batch([params], window, OdeSpec(h), [t])[0, 0]
             errs.append(np.abs(psi - ref).max())
         order = math.log2(errs[0] / errs[1])
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_rejects_undersized_window(self):
         with pytest.raises(UndersizedGridError):
-            propagate_ode(WalkParams(), LatticeWindow(10), OdeSpec(1e-3), 20.0)
+            propagate_ode_batch([WalkParams()], LatticeWindow(10), OdeSpec(1e-3), [20.0])
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            propagate_ode(WalkParams(), LatticeWindow(50), OdeSpec(1e-3), -1.0)
+            propagate_ode_batch([WalkParams()], LatticeWindow(50), OdeSpec(1e-3), [-1.0])
 
     def test_ode_sign_convention_gives_negative_drift(self):
         # for 0 < D < 1 and alpha = pi/2 the drift must be negative
         params = WalkParams(alpha=PI / 2, delocalization=0.5)
         window = window_for(params, 3.0)
-        state = propagate_ode(params, window, OdeSpec.default_for(params), 3.0)
-        mean, _, _ = observables_from_state(state)
+        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [3.0])[:, 0]
+        (mean,), _, _ = observables_from_amplitudes(window, psi)
         assert mean < -1.0
 
 
@@ -224,7 +230,7 @@ class TestOdeBatch:
         batch = propagate_ode_batch(GRID_ROWS, window, ode, [t])
         assert batch.shape == (1, 16, window.n_sites)
         for params, row in zip(GRID_ROWS, batch[0]):
-            assert np.array_equal(row, propagate_ode(params, window, ode, t).amplitudes)
+            assert np.array_equal(row, propagate_ode_batch([params], window, ode, [t])[0, 0])
 
     def test_checkpoints_equal_runs_from_zero(self):
         # checkpoints that are multiples of the step take the same steps
@@ -233,7 +239,7 @@ class TestOdeBatch:
         times = [0.0, 0.5, 1.25, 3.0]
         snapshots = propagate_ode_batch([params], window, ode, times)
         for t, snap in zip(times, snapshots):
-            assert np.array_equal(snap[0], propagate_ode(params, window, ode, t).amplitudes)
+            assert np.array_equal(snap[0], propagate_ode_batch([params], window, ode, [t])[0, 0])
 
     @pytest.mark.parametrize("rows, ode, times", [
         ([ONE_ROW], OdeSpec.default_for(ONE_ROW), np.linspace(0.0, 10.0, 21)),
@@ -246,7 +252,7 @@ class TestOdeBatch:
         snapshots = propagate_ode_batch(rows, window, ode, times)
         for r, params in enumerate(rows):
             # restart from each snapshot, one gap at a time, by hand
-            psi, t_prev = initial_state_position(params, window).amplitudes, 0.0
+            psi, t_prev = initial_state_position(params, window), 0.0
             for t, snap in zip(times, snapshots):
                 psi = _rk4_gap(params, psi, t - t_prev, ode.step)
                 t_prev = t
@@ -322,9 +328,10 @@ def test_oracle_triangle_point():
     params = WalkParams(alpha=PI / 4, delocalization=0.3)
     t = 8.0
     window = window_for(params, t)
-    p_exact = analytic_probability(params, window, t)
-    p_spec = propagate_spectral(params, RingSpec.for_run(params, t), t, window).probabilities()
-    p_ode = propagate_ode(params, window, OdeSpec.default_for(params), t).probabilities()
+    p_exact = np.abs(analytic_amplitudes(params, window, [t])) ** 2
+    p_spec = np.abs(spectral_amplitudes(params, RingSpec.for_run(params, t), window, [t])) ** 2
+    ode = OdeSpec.default_for(params)
+    p_ode = np.abs(propagate_ode_batch([params], window, ode, [t])[:, 0]) ** 2
     assert np.abs(p_exact - p_spec).max() < 1e-10
     assert np.abs(p_exact - p_ode).max() < 1e-8
 
