@@ -5,7 +5,6 @@ numerical propagators, and transport observables."""
 __version__ = "0.1.0"
 
 from .analytic import (
-    SurvivalCurve,
     analytic_amplitudes,
     analytic_amplitudes_batch,
     is_fine_tuned,
@@ -46,7 +45,6 @@ from .propagators import (
 from .validate import oracle_triangle
 
 __all__ = [
-    "SurvivalCurve",
     "analytic_amplitudes",
     "analytic_amplitudes_batch",
     "is_fine_tuned",

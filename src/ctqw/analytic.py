@@ -17,8 +17,7 @@ propagation of psi(k, t) to rounding; see tests for the cross checks.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,19 +26,6 @@ from .model import LatticeWindow, WalkParams, check_norm_deficit
 
 # i^n by n mod 4; exact phases, no complex exponentiation.
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-@dataclass
-class SurvivalCurve:
-    """Probability remaining on the central sites {-1, 0, 1} over a time grid.
-
-    ``params`` is None for synthetic curves that did not come from the
-    closed form (e.g. regression fixtures).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    params: Optional[WalkParams] = None
 
 
 def _batch_args(points: Sequence[WalkParams], times):
@@ -97,30 +83,30 @@ def analytic_probability(params: WalkParams, window: LatticeWindow, t: float) ->
     return np.abs(analytic_wavefunction(params, window, t)) ** 2
 
 
-def survival_exact_batch(points: Sequence[WalkParams], times) -> List[SurvivalCurve]:
-    """survival_exact of each point, from one Bessel recurrence; the points share gamma."""
+def survival_exact_batch(points: Sequence[WalkParams], times) -> np.ndarray:
+    """survival_exact of each point, from one Bessel recurrence, shape
+    (len(points),) + times.shape; the points share gamma."""
     gamma, times = _batch_args(points, times)
     j0, j1, j2 = bessel_rows(2.0 * gamma * times, 2)
-    curves = []
-    for params in points:
+    out = np.empty((len(points),) + times.shape)
+    for j, params in enumerate(points):
         d = params.delocalization
         sin2 = math.sin(params.alpha) ** 2
         cos2a = math.cos(2.0 * params.alpha)
-        values = j0**2 + 2.0 * (1.0 - d * sin2) * j1**2 + d * j2**2 - 2.0 * d * cos2a * j0 * j2
-        curves.append(SurvivalCurve(times=times, values=values, params=params))
-    return curves
+        out[j] = j0**2 + 2.0 * (1.0 - d * sin2) * j1**2 + d * j2**2 - 2.0 * d * cos2a * j0 * j2
+    return out
 
 
-def survival_exact(params: WalkParams, times) -> SurvivalCurve:
-    """Exact central-region survival probability on a time grid."""
+def survival_exact(params: WalkParams, times) -> np.ndarray:
+    """Exact central-region survival probability on a time grid, of the grid's shape."""
     return survival_exact_batch([params], times)[0]
 
 
-def is_fine_tuned(params: WalkParams, tol: float = 1e-12) -> bool:
+def is_fine_tuned(params: WalkParams) -> bool:
     """True on the exact enhanced-decay manifold: D = 1 and sin^2 alpha = 1."""
     return (
-        abs(params.delocalization - 1.0) <= tol
-        and abs(math.sin(params.alpha) ** 2 - 1.0) <= tol
+        abs(params.delocalization - 1.0) <= 1e-12
+        and abs(math.sin(params.alpha) ** 2 - 1.0) <= 1e-12
     )
 
 

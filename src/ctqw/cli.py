@@ -308,12 +308,6 @@ def _wavefunction_rows(window, amps):
     return [(int(x), p[i], amps[i].real, amps[i].imag) for i, x in enumerate(window.sites())]
 
 
-def _t_cross(alpha):
-    """Crossing time, with inf standing for "no crossing"."""
-    tc = crossing_time(alpha)
-    return math.inf if tc is None else tc
-
-
 def cmd_wavefunction(args, run):
     amps = _amplitudes(run)
     _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, amps[0]))
@@ -327,8 +321,7 @@ def cmd_observables(args, run):
 
 
 def cmd_survival(args, run):
-    curve = survival_exact(run.params, run.times)
-    _emit(args, ["t", "P_surv"], list(zip(curve.times, curve.values)))
+    _emit(args, ["t", "P_surv"], list(zip(run.times, survival_exact(run.params, run.times))))
     return 0
 
 
@@ -344,7 +337,7 @@ def cmd_sweep(args, run):
             msd = math.inf
         if not math.isfinite(msd):
             raise ConfigError(f"MSD at tmax={args.tmax:g} overflows a double, gamma={args.gamma:g}")
-        rows.append((float(v), mean_velocity(params), _t_cross(params.alpha), msd))
+        rows.append((float(v), mean_velocity(params), crossing_time(params.alpha), msd))
     _emit(args, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows)
     return 0
 
@@ -385,16 +378,16 @@ def _fig3():
 def _fig4():
     # Crossing time vs phase over [0, pi], step pi/200.
     alphas = np.arange(201) * (math.pi / 200.0)
-    yield None, ["alpha", "t_cross"], [(float(a), _t_cross(float(a))) for a in alphas]
+    yield None, ["alpha", "t_cross"], [(float(a), crossing_time(float(a))) for a in alphas]
 
 
 def _fig5():
     # Survival probability on a log-log grid, alpha = pi/2.
     ts = np.geomspace(0.1, 500.0, 200)
     points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
-    for tag, curve in zip(_D_TAGS, survival_exact_batch(points, ts)):
-        asym = survival_asymptotic(curve.params, ts)
-        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, curve.values, asym))
+    for tag, params, exact in zip(_D_TAGS, points, survival_exact_batch(points, ts)):
+        asym = survival_asymptotic(params, ts)
+        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, exact, asym))
 
 
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}

@@ -2,16 +2,18 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .analytic import SurvivalCurve, survival_exact
+from .analytic import survival_exact
 from .model import LatticeWindow, WalkParams
 
 # Half period (in gamma*t) of the J_n(2 gamma t)^2 oscillations; the
 # smoothing window spans one full oscillation.
 SMOOTHING_HALF_WIDTH = math.pi / 4.0
+# Midpoint-rule nodes per smoothing window.
+SMOOTHING_NODES = 48
 _NORM_STATE_LIMIT = 1e-6
 
 
@@ -51,16 +53,16 @@ def msd_closed_form(params: WalkParams, t):
     return out if out.shape else float(out)
 
 
-def crossing_time(alpha: float) -> Optional[float]:
+def crossing_time(alpha: float) -> float:
     """Dimensionless gamma*t at which the MSD becomes independent of D.
 
-    Exists only for sin^2(alpha) < 1/2; None otherwise (the boundary
+    Exists only for sin^2(alpha) < 1/2; inf otherwise (the boundary
     sin^2 = 1/2, where the expression diverges, counts as no crossing).
     """
     c = 1.0 - 2.0 * math.sin(alpha) ** 2
     # tolerance so the boundary classifies correctly despite rounding in sin
     if c <= 1e-12:
-        return None
+        return math.inf
     return 1.0 / math.sqrt(c)
 
 
@@ -122,9 +124,7 @@ def backfire_ordering(
     return OrderingReport(trend, deriv, d_values, msds, consistent)
 
 
-def smoothed_survival(
-    params: WalkParams, times, n_quad: int = 48
-) -> SurvivalCurve:
+def smoothed_survival(params: WalkParams, times) -> np.ndarray:
     """Survival probability averaged over one Bessel oscillation period.
 
     Each sample becomes the mean of the exact curve over a window of total
@@ -134,34 +134,30 @@ def smoothed_survival(
     half = SMOOTHING_HALF_WIDTH / params.gamma
     if np.any(times - half < 0):
         raise ValueError("smoothing window extends below t = 0")
-    offsets = ((np.arange(n_quad) + 0.5) / n_quad * 2.0 - 1.0) * half
-    grid = times[:, None] + offsets[None, :]
-    vals = survival_exact(params, grid).values
-    return SurvivalCurve(times=times, values=vals.mean(axis=1), params=params)
+    offsets = ((np.arange(SMOOTHING_NODES) + 0.5) / SMOOTHING_NODES * 2.0 - 1.0) * half
+    return survival_exact(params, times[..., None] + offsets).mean(axis=-1)
 
 
-def fit_power_law(
-    curve: SurvivalCurve, window: Tuple[float, float], smooth: bool = True
-) -> PowerLawFit:
-    """OLS of log(P) vs log(t) over the window.
+def fit_power_law(times, values, window: Tuple[float, float]) -> PowerLawFit:
+    """OLS of log(value) vs log(t) over the samples whose times lie in the window.
 
-    With smooth=True (and a curve carrying its parameters) the samples are
-    first oscillation-averaged; synthetic curves are fitted as given.
+    The samples are fitted as given; pass smoothed_survival(params, times)
+    for the oscillation-averaged decay of a survival curve.
     """
     t_lo, t_hi = window
     if not 0 < t_lo < t_hi:
         raise ValueError(f"window must satisfy 0 < t_lo < t_hi, got {window}")
-    mask = (curve.times >= t_lo) & (curve.times <= t_hi)
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError(f"times of shape {times.shape} but values of shape {values.shape}")
+    mask = (times >= t_lo) & (times <= t_hi)
     if mask.sum() < 16:
         raise ValueError(f"need at least 16 samples in the window, got {int(mask.sum())}")
-    ts = curve.times[mask]
-    if smooth and curve.params is not None:
-        vals = smoothed_survival(curve.params, ts).values
-    else:
-        vals = curve.values[mask]
-    if np.any(vals <= 0):
-        raise ValueError("window contains nonpositive samples")
-    logt = np.log(ts)
+    vals = values[mask]
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError("window contains nonpositive or non-finite samples")
+    logt = np.log(times[mask])
     logv = np.log(vals)
     slope, intercept = np.polyfit(logt, logv, 1)
     resid = float(np.sqrt(np.mean((logv - (slope * logt + intercept)) ** 2)))

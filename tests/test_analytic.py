@@ -115,19 +115,19 @@ class TestWavefunction:
 class TestSurvivalExact:
     def test_value_one_at_time_zero(self):
         curve = survival_exact(WalkParams(alpha=0.3, delocalization=0.7), [0.0])
-        assert curve.values[0] == 1.0
+        assert curve[0] == 1.0
 
     def test_frozen_values_at_gt1(self):
-        assert survival_exact(WalkParams(), [1.0]).values[0] == pytest.approx(
+        assert survival_exact(WalkParams(), [1.0])[0] == pytest.approx(
             SURV_D0_GT1, abs=1e-13
         )
         fine = WalkParams(alpha=PI / 2, delocalization=1.0)
-        assert survival_exact(fine, [1.0]).values[0] == pytest.approx(J1_2_SQ, abs=1e-13)
+        assert survival_exact(fine, [1.0])[0] == pytest.approx(J1_2_SQ, abs=1e-13)
 
     def test_bounds(self):
         curve = survival_exact(WalkParams(alpha=1.0, delocalization=0.6), np.linspace(0, 30, 301))
-        assert np.all(curve.values >= -1e-12)
-        assert np.all(curve.values <= 1.0 + 1e-12)
+        assert np.all(curve >= -1e-12)
+        assert np.all(curve <= 1.0 + 1e-12)
 
     def test_matches_three_site_sum(self):
         rng = np.random.default_rng(7)
@@ -141,7 +141,7 @@ class TestSurvivalExact:
             window = window_for(params, t)
             p = np.abs(analytic_amplitudes(params, window, [t])[0]) ** 2
             direct = p[window.index(-1)] + p[window.index(0)] + p[window.index(1)]
-            assert survival_exact(params, [t]).values[0] == pytest.approx(direct, abs=1e-12)
+            assert survival_exact(params, [t])[0] == pytest.approx(direct, abs=1e-12)
 
     def test_fine_tuned_collapse(self):
         # at D=1 and alpha = pi/2 + m pi the curve equals J_1(2 gamma t)^2 / (gamma t)^2
@@ -150,7 +150,7 @@ class TestSurvivalExact:
             params = WalkParams(alpha=PI / 2 + m * PI, delocalization=1.0)
             gt = float(rng.uniform(0.5, 60.0))
             j1 = bessel_row(2 * gt, 1)[1]
-            assert survival_exact(params, [gt]).values[0] == pytest.approx(
+            assert survival_exact(params, [gt])[0] == pytest.approx(
                 j1**2 / gt**2, abs=1e-12
             )
 
@@ -179,11 +179,16 @@ class TestBatch:
             assert psi[1, j].tobytes() == at_zero.tobytes()
 
     def test_survival_equals_one_point_calls_byte_for_byte(self):
-        times = np.geomspace(0.1, 500.0, 200)
-        curves = survival_exact_batch(self.POINTS, times)
-        assert [c.params for c in curves] == self.POINTS
-        for curve, params in zip(curves, self.POINTS):
-            assert curve.values.tobytes() == survival_exact(params, times).values.tobytes()
+        grids = [
+            np.geomspace(0.1, 500.0, 200),
+            # a (times x nodes) grid, as smoothed_survival passes
+            np.linspace(50.0, 500.0, 24)[:, None] + np.linspace(-0.7, 0.7, 48)[None, :],
+        ]
+        for times in grids:
+            curves = survival_exact_batch(self.POINTS, times)
+            assert curves.shape == (len(self.POINTS),) + times.shape
+            for curve, params in zip(curves, self.POINTS):
+                assert curve.tobytes() == survival_exact(params, times).tobytes()
 
     @pytest.mark.parametrize("points", [[WalkParams(gamma=1.0), WalkParams(gamma=2.0)], []])
     def test_batch_needs_one_gamma(self, points):
@@ -218,7 +223,7 @@ class TestSurvivalAsymptotic:
         for d, a in [(0.0, 1.0), (0.5, PI / 2), (1.0, 0.0), (0.3, 2.2)]:
             params = WalkParams(alpha=a, delocalization=d)
             ts = np.linspace(200.0, 400.0, 80001)
-            avg = float(np.mean(survival_exact(params, ts).values * ts))
+            avg = float(np.mean(survival_exact(params, ts) * ts))
             predicted = float(survival_asymptotic(params, 1.0))  # coefficient of 1/t
             assert avg == pytest.approx(predicted, rel=0.02)
 

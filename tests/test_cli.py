@@ -179,7 +179,7 @@ class TestFormats:
         _, rows = read_csv(out)
         ts = np.geomspace(0.1, 333, 40)
         curve = survival_exact(WalkParams(alpha=0.77, delocalization=0.3), ts)
-        for row, t, v in zip(rows, ts, curve.values):
+        for row, t, v in zip(rows, ts, curve):
             assert row[0] == t  # bitwise round trip
             assert row[1] == v
 

@@ -68,7 +68,7 @@ def test_routes_and_closed_forms_agree(gamma, alpha, d, gts):
         assert np.abs(np.abs(ode) ** 2 - p_exact).max() < ODE_TOL
 
     msd_law = msd_closed_form(params, times)
-    survival_law = survival_exact(params, times).values
+    survival_law = survival_exact(params, times)
     for amps in (exact, spectral):
         mean, msd, survival = observables_from_amplitudes(window, amps)
         spread = 1 + np.sqrt(msd_law)

@@ -7,7 +7,6 @@ from ctqw import (
     LatticeWindow,
     OdeSpec,
     RingSpec,
-    SurvivalCurve,
     WalkParams,
     analytic_amplitudes,
     backfire_ordering,
@@ -78,11 +77,11 @@ class TestCrossingTime:
     def test_examples(self):
         assert crossing_time(0.0) == pytest.approx(1.0)
         assert crossing_time(PI / 6) == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert crossing_time(PI / 2) is None
+        assert crossing_time(PI / 2) == math.inf
 
     def test_boundary_counts_as_no_crossing(self):
-        assert crossing_time(PI / 4) is None
-        assert crossing_time(3 * PI / 4) is None
+        assert crossing_time(PI / 4) == math.inf
+        assert crossing_time(3 * PI / 4) == math.inf
 
 
 class TestObservablesFromState:
@@ -195,42 +194,47 @@ class TestBackfireOrdering:
 class TestPowerLawFit:
     def test_exact_power_law(self):
         ts = np.geomspace(50, 500, 40)
-        curve = SurvivalCurve(times=ts, values=0.7 * ts**-2.0, params=None)
-        fit = fit_power_law(curve, (50.0, 500.0))
+        fit = fit_power_law(ts, 0.7 * ts**-2.0, (50.0, 500.0))
         assert fit.slope == pytest.approx(-2.0, abs=1e-10)
         assert fit.intercept == pytest.approx(math.log(0.7), abs=1e-9)
         assert fit.residual < 1e-12
 
     def test_survival_slopes(self):
         ts = np.geomspace(50, 500, 64)
-        generic = survival_exact(WalkParams(alpha=PI / 2, delocalization=0.5), ts)
-        assert fit_power_law(generic, (50.0, 500.0)).slope == pytest.approx(-1.0, abs=0.05)
-        fine = survival_exact(WalkParams(alpha=PI / 2, delocalization=1.0), ts)
-        assert fit_power_law(fine, (50.0, 500.0)).slope == pytest.approx(-3.0, abs=0.05)
+        generic = smoothed_survival(WalkParams(alpha=PI / 2, delocalization=0.5), ts)
+        assert fit_power_law(ts, generic, (50.0, 500.0)).slope == pytest.approx(-1.0, abs=0.05)
+        fine = smoothed_survival(WalkParams(alpha=PI / 2, delocalization=1.0), ts)
+        assert fit_power_law(ts, fine, (50.0, 500.0)).slope == pytest.approx(-3.0, abs=0.05)
 
     def test_smoothing_removes_oscillation(self):
         params = WalkParams(alpha=PI / 2, delocalization=0.5)
         ts = np.geomspace(50, 500, 64)
         smooth = smoothed_survival(params, ts)
+        # one value per time, a scalar time included
+        assert smooth.shape == ts.shape
+        assert smoothed_survival(params, ts[5]) == pytest.approx(smooth[5], rel=1e-12)
         # smoothed curve times t is nearly constant; the raw one oscillates hard
-        ratio = smooth.values * ts
+        ratio = smooth * ts
         assert ratio.max() / ratio.min() < 1.05
         raw = survival_exact(params, ts)
-        assert (raw.values * ts).max() / (raw.values * ts).min() > 1.5
+        assert (raw * ts).max() / (raw * ts).min() > 1.5
 
     def test_rejects_sparse_window(self):
         ts = np.geomspace(50, 500, 10)
-        curve = survival_exact(WalkParams(), ts)
         with pytest.raises(ValueError):
-            fit_power_law(curve, (50.0, 500.0))
+            fit_power_law(ts, survival_exact(WalkParams(), ts), (50.0, 500.0))
 
-    def test_rejects_nonpositive_samples(self):
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros(20), np.r_[np.ones(19), np.nan], np.r_[np.ones(19), np.inf], np.ones(19)],
+        ids=["zero", "nan", "inf", "shape-mismatch"],
+    )
+    def test_rejects_nonpositive_samples(self, values):
         ts = np.geomspace(50, 500, 20)
-        curve = SurvivalCurve(times=ts, values=np.zeros_like(ts), params=None)
         with pytest.raises(ValueError):
-            fit_power_law(curve, (50.0, 500.0))
+            fit_power_law(ts, values, (50.0, 500.0))
 
     def test_rejects_bad_window(self):
-        curve = survival_exact(WalkParams(), np.geomspace(50, 500, 20))
+        ts = np.geomspace(50, 500, 20)
         with pytest.raises(ValueError):
-            fit_power_law(curve, (500.0, 50.0))
+            fit_power_law(ts, survival_exact(WalkParams(), ts), (500.0, 50.0))

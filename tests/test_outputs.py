@@ -49,6 +49,12 @@ for _fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
         CASES[f"figure-{_fig}-csv"] = f"figure {_fig} --out {_fig}.csv"
     CASES[f"figure-{_fig}-json"] = f"figure {_fig} --format json --out {_fig}.json"
 CASES["survival-json"] = "survival --dparam 0.3 --alpha 0.9 --format json --tmax 5 --npoints 11"
+# a phase sweep with finite and infinite crossing times, CSV to a file and JSON to stdout
+for _fmt, _out in (("csv", "--out sweep.csv"), ("json", "")):
+    CASES[f"sweep-alpha-{_fmt}"] = (
+        f"sweep --sweep-param alpha --dparam 0.5 --start 0 --stop 3.1416 --steps 41 "
+        f"--format {_fmt} {_out}"
+    )
 # RK4 checkpoints that are not multiples of the step
 CASES["observables-ode-short-step"] = (
     "observables --source ode --dparam 0.3 --alpha 0.9 --tmax 1 --npoints 4 --step 0.0007 "
