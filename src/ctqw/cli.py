@@ -46,7 +46,7 @@ LIMITS = {
     "FFT points": 3 * 10**8,  # spectral, ring sites x (1 + times): 54-74 ns each
     "site-steps": 1e9,  # RK4, steps x window sites x rows: 20-40 ns each
     "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each
-    "rows": 10**6,  # of a time-grid or sweep table: 4-26 us each
+    "rows": 10**6,  # of a time-grid or sweep table: 2-22 us each
 }
 
 
@@ -207,7 +207,7 @@ def plan(args) -> Plan:
     """Check args and choose the run they ask for: params, times, window, and
     ring or RK4 spec. Nothing runs. Each choice is made only once the work it
     sizes is within LIMITS, sites first, so none overflows and each refusal
-    names the first fault. Figures count nothing."""
+    names the first fault. A figure needs --out and counts nothing."""
     run, command = Plan(), args.command
     if command == "sweep":
         if args.steps < 2:
@@ -215,6 +215,8 @@ def plan(args) -> Plan:
         if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
             raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
         run.count("rows", args.steps, "--steps asks for")
+    if command == "figure" and args.out is None:
+        raise ConfigError("figure requires --out (panel files derive from it)")
     if command in ("sweep", "figure"):
         return run
     run.params = _spec(WalkParams, gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
@@ -293,19 +295,22 @@ def _amplitudes(run) -> np.ndarray:
     return analytic_amplitudes(run.params, run.window, run.times)
 
 
-def _emit(args, header, rows):
+def _emit(args, header, rows, tag=None):
+    """Write one table: to stdout, to --out, or, for a tagged panel, to --out
+    with _<tag> before the suffix."""
     if args.out is None:
         WRITERS[args.format](sys.stdout, header, rows)
     else:
-        emit_table(args.out, args.format, header, rows)
+        out = Path(args.out)
+        path = args.out if tag is None else str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
+        emit_table(path, args.format, header, rows)
 
 
 _WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
 
 
 def _wavefunction_rows(window, amps):
-    p = np.abs(amps) ** 2
-    return [(int(x), p[i], amps[i].real, amps[i].imag) for i, x in enumerate(window.sites())]
+    return list(zip(window.sites(), np.abs(amps) ** 2, amps.real, amps.imag))
 
 
 def cmd_wavefunction(args, run):
@@ -342,8 +347,7 @@ def cmd_sweep(args, run):
     return 0
 
 
-# Each figure builder yields its panels as (tag or None, header, rows); a
-# tagged panel goes to the --out path with _<tag> before the suffix.
+# Each figure builder yields its panels as (tag or None, header, rows).
 _D_TAGS = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
 
 
@@ -394,12 +398,8 @@ FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _
 
 
 def cmd_figure(args, run):
-    if args.out is None:
-        raise ConfigError("figure requires --out (panel files derive from it)")
-    out = Path(args.out)
     for tag, header, rows in FIGURES[args.figure_id]():
-        path = args.out if tag is None else str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
-        emit_table(path, args.format, header, rows)
+        _emit(args, header, rows, tag)
     return 0
 
 

@@ -155,6 +155,8 @@ def fit_power_law(times, values, window: Tuple[float, float]) -> PowerLawFit:
     if mask.sum() < 16:
         raise ValueError(f"need at least 16 samples in the window, got {int(mask.sum())}")
     vals = values[mask]
+    if not np.all(np.isfinite(times[mask])):
+        raise ValueError("window contains non-finite times")
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise ValueError("window contains nonpositive or non-finite samples")
     logt = np.log(times[mask])

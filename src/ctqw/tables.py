@@ -5,30 +5,18 @@ import math
 from typing import Iterable, Sequence
 
 
-def format_value(v) -> str:
-    """17-significant-digit text; parses back to the identical float."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
-    f = float(v)
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    if math.isnan(f):
-        return "nan"
-    return format(f, ".17g")
-
-
 def write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One %.17g cell per column: each float parses back to itself, ints
+    print as integers and non-finite values as inf, -inf and nan."""
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(format_value(v) for v in row) + "\n")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def cell(v):
         f = float(v)
-        if math.isinf(f) or math.isnan(f):
-            return format_value(f)
-        return f
+        return f if math.isfinite(f) else "%.17g" % f
 
     doc = {"columns": list(header), "rows": [[cell(v) for v in row] for row in rows]}
     json.dump(doc, fh, indent=1)

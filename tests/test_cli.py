@@ -339,6 +339,8 @@ BAD_INPUTS = [
     (None, ["sweep", "--gamma", "1.3e154", "--tmax", "0", "--steps", "2"], "overflows a double"),
     (None, ["sweep", "--sweep-param", "alpha", "--start", "-1e308", "--stop", "1e308"],
      "sweep from -1e+308 to 1e+308 overflows a double"),
+    # a dparam sweep's values are delocalizations, refused before any row is written
+    (None, ["sweep", "--start", "-0.5", "--steps", "3"], "delocalization must be in [0, 1]"),
     # a phase whose products with the sites or with 2 overflow gave nan tables or tracebacks
     (None, ["observables", "--alpha", "1e308", *GRID], "alpha must be finite and within +-1e+300"),
     (None, ["survival", "--alpha", "-1e308", *GRID], "alpha must be finite and within +-1e+300"),
@@ -384,6 +386,18 @@ def test_bad_input_exits_2(tmp_path, capsys, config, argv, message):
     assert "Traceback" not in captured.err
     assert message in captured.err
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+def test_figure_without_out_is_refused_before_any_figure_is_built(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "FIGURES", {"fig1": lambda: built.append("fig1") or iter(())})
+    monkeypatch.chdir(tmp_path)
+    assert run("figure", "fig1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "figure requires --out" in captured.err
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # The benchmark's jobs, written out here: a limit tightened below one of them

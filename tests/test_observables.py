@@ -234,6 +234,13 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             fit_power_law(ts, values, (50.0, 500.0))
 
+    def test_rejects_infinite_time_in_window(self, capfd):
+        # refused before np.polyfit, whose LAPACK call would print to stderr
+        ts = np.r_[np.geomspace(50, 500, 20), np.inf]
+        with pytest.raises(ValueError, match="non-finite times"):
+            fit_power_law(ts, np.ones(21), (50.0, math.inf))
+        assert capfd.readouterr().err == ""
+
     def test_rejects_bad_window(self):
         ts = np.geomspace(50, 500, 20)
         with pytest.raises(ValueError):
