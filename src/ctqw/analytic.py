@@ -53,17 +53,18 @@ def analytic_amplitudes_batch(
     i_pow = _I_POW[np.arange(window.half_width + 2) % 4]
 
     xs = window.sites()
+    at_x, at_right, at_left = np.abs(xs), np.abs(xs + 1), np.abs(xs - 1)
     psi = np.empty((times.size, len(points), window.n_sites), dtype=complex)
     for j, params in enumerate(points):
         d = params.delocalization
         a = params.alpha
         phase = np.exp(1j * a * xs)
+        centre, side = math.sqrt(1.0 - d), math.sqrt(d / 2.0)
+        hop_right, hop_left = np.exp(1j * a), np.exp(-1j * a)
         for i in range(times.size):
             jt = i_pow * rows[:, i]
             psi[i, j] = phase * (
-                math.sqrt(1.0 - d) * jt[np.abs(xs)]
-                + math.sqrt(d / 2.0)
-                * (np.exp(1j * a) * jt[np.abs(xs + 1)] + np.exp(-1j * a) * jt[np.abs(xs - 1)])
+                centre * jt[at_x] + side * (hop_right * jt[at_right] + hop_left * jt[at_left])
             )
         check_norm_deficit(window, psi[:, j], times)
     return psi

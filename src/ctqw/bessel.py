@@ -13,9 +13,19 @@ import numpy as np
 _OVERFLOW_LIMIT = 1e250
 _RESCALE = 1e-250
 _TINY = 1e-30
+# While every multiplier 2n/z is at most this, one rescale is enough: a
+# finite |J_n| times _RESCALE is at most 1.8e58, under every column's limit
+# _OVERFLOW_LIMIT / (2n/z) >= 1e59.
+_ONE_RESCALE_MULT = 1e191
+# Orders x columns of multipliers divided out in one broadcast; larger
+# blocks raise the peak memory of a small batch.
+_BLOCK_ELEMENTS = 4096
 # Below this the series truncates exactly in double precision:
 # J_0 = 1, J_1 = z/2, higher orders underflow.
 _Z_TINY = 1e-290
+# The trial seed as a column of the (3, columns) state, with J_n in row n % 2.
+_SEEDS = np.zeros((2, 3, 1))
+_SEEDS[0, 0] = _SEEDS[1, 1] = _TINY
 
 
 def start_order(z: float, n_max: int) -> int:
@@ -37,6 +47,11 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
         raise ValueError(f"arguments must be finite and nonnegative, got {z}")
     if int(n_max) != n_max or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+    # numpy is slow when a one-element output is also an input, so a lone
+    # argument runs as two equal columns.
+    lone = z.size == 1
+    if lone:
+        z = np.repeat(z, 2)
     if shared_start:
         starts = np.full(z.size, start_order(float(z.max(initial=0.0)), n_max))
     else:
@@ -49,43 +64,53 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
     top = int(starts.max(initial=0))
     lowest = int(starts.min(initial=top))
 
-    jnp1 = np.zeros(z.size)
-    jn = np.full(z.size, _TINY)
-    even_sum = np.zeros(z.size)  # sum of trial J_n over even n >= 2
+    # Rows 0 and 1 hold J_n and J_{n+1}: J_n sits in row n % 2, and each
+    # order writes J_{n-1} over J_{n+1} and swaps the two names, so nothing
+    # is copied. Row 2 is the sum of trial J_n over even n >= 2.
+    state = np.zeros((3, z.size))
+    jn, jnp1, even_sum = state[top % 2], state[1 - top % 2], state[2]
+    jn[:] = _TINY
+    block = max(1, _BLOCK_ELEMENTS // max(z.size, 1))
+    subtract = np.subtract  # called with a positional out, which costs less per call
     bound = _TINY  # >= |J_n| and |J_{n+1}| in every column
-    for n in range(top, 0, -1):
-        if n <= n_max:
-            out[n] = jn
-        if n % 2 == 0:
-            even_sum += jn
-        mult = 2.0 * n / zsafe
-        mult_max = 2.0 * n / zmin
-        # Rescale before the multiply can overflow. The exact per-column
-        # test is skipped while the bound keeps every column below it.
-        while bound * max(mult_max, 1.0) > 0.5 * _OVERFLOW_LIMIT:
-            big = np.abs(jn) > _OVERFLOW_LIMIT / np.maximum(mult, 1.0)
-            if not big.any():
-                break
-            jn[big] *= _RESCALE
-            jnp1[big] *= _RESCALE
-            even_sum[big] *= _RESCALE
-            if n <= n_max:  # only rows n..n_max are written yet; the rest are +0.0
-                out[n:, big] *= _RESCALE
-        jnm1 = mult * jn - jnp1
-        jnp1, jn = jn, jnm1
-        bound *= (mult_max + 1.0) * (1.0 + 1e-12)  # the margin covers rounding
-        if n > lowest:
-            late = starts < n
-            jn[late] = _TINY
-            jnp1[late] = 0.0
-            even_sum[late] = 0.0
+    for hi in range(top, 0, -block):
+        lo = max(hi - block, 0)
+        # 2n/z for a block of orders, each rounded as a division alone would
+        mults = np.arange(2.0 * hi, 2.0 * lo, -2.0)[:, None] / zsafe
+        limits = None
+        for n, mult in zip(range(hi, lo, -1), mults):
+            if n <= n_max:
+                out[n] = jn
+            if n % 2 == 0:
+                even_sum += jn
+            mult_max = 2.0 * n / zmin
+            # Rescale before the multiply can overflow. The exact per-column
+            # test is skipped while the bound keeps every column below it.
+            if bound * max(mult_max, 1.0) > 0.5 * _OVERFLOW_LIMIT:
+                if limits is None:
+                    limits = _OVERFLOW_LIMIT / np.maximum(mults, 1.0)
+                limit = limits[hi - n]
+                big = np.abs(jn) > limit
+                if n > n_max and mult_max <= _ONE_RESCALE_MULT:
+                    np.multiply(state, _RESCALE, out=state, where=big)
+                else:
+                    while big.any():
+                        np.multiply(state, _RESCALE, out=state, where=big)
+                        if n <= n_max:  # only rows n..n_max are written yet; the rest are +0.0
+                            out[n:, big] *= _RESCALE
+                        big = np.abs(jn) > limit
+            subtract(mult * jn, jnp1, jnp1)  # J_{n-1}
+            jn, jnp1 = jnp1, jn
+            bound *= (mult_max + 1.0) * (1.0 + 1e-12)  # the margin covers rounding
+            if n > lowest:
+                state[:, starts < n] = _SEEDS[(n - 1) % 2]
     out[0] = jn
     out /= jn + 2.0 * even_sum
     out[:, tiny] = 0.0
     out[0, tiny] = 1.0
     if n_max >= 1:
         out[1, tiny] = z[tiny] / 2.0
-    return out.reshape((n_max + 1,) + shape)
+    return (out[:, :1] if lone else out).reshape((n_max + 1,) + shape)
 
 
 def bessel_row(z: float, n_max: int) -> np.ndarray:

@@ -42,7 +42,10 @@ from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 LIMITS = {
     "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
     "amplitudes": 2**25,  # times x window sites: 512 MiB of complex
-    "order-columns": 10**9,  # Bessel recurrence, start order x times: 9-26 ns each
+    # Bessel recurrence, start order x times: 21-40 ns each at 200-10^5 times and
+    # 2.6 us an order at one; sites caps the order near 10^6, so the limit needs
+    # 10^3 or more times, at 6-12 ns each.
+    "order-columns": 10**9,
     "FFT points": 3 * 10**8,  # spectral, ring sites x (1 + times): 54-74 ns each
     "site-steps": 1e9,  # RK4, steps x window sites x rows: 20-40 ns each
     "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each

@@ -26,12 +26,13 @@ def bessel_series(n: int, z: float, dps: int = 40) -> float:
         return float(total)
 
 
-def bessel_row_loop(z: float, n_max: int):
+def bessel_row_loop(z: float, n_max: int, start=None):
     """J_0(z) .. J_{n_max}(z) by the plain-Python Miller recurrence.
 
     The scalar loop the package used before its recurrence was vectorized;
     ctqw.bessel must reproduce it bit for bit. The constants are those of
-    ctqw.bessel.
+    ctqw.bessel. The recurrence starts at order start, by default
+    start_order(z, n_max); a shared-start batch passes its own.
     """
     out = np.zeros(n_max + 1)
     if z < _Z_TINY:
@@ -40,7 +41,9 @@ def bessel_row_loop(z: float, n_max: int):
             out[1] = z / 2.0
         return out
     jnp1, jn, even_sum = 0.0, _TINY, 0.0
-    for n in range(start_order(z, n_max), 0, -1):
+    if start is None:
+        start = start_order(z, n_max)
+    for n in range(start, 0, -1):
         if n <= n_max:
             out[n] = jn
         if n % 2 == 0:

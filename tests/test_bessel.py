@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mpmath import besselj, mp
 
 from ctqw.bessel import bessel_row, bessel_row_batch, bessel_rows, start_order
+from ctqw.model import WalkParams
+from ctqw.observables import SMOOTHING_HALF_WIDTH, SMOOTHING_NODES
 from oracles import bessel_row_loop, bessel_series
 
 # Frozen from the power-series oracle (tests/oracles.py).
@@ -125,6 +127,40 @@ def test_row_equals_the_scalar_loop_bit_for_bit(n_max):
         assert np.array_equal(bessel_rows(np.array([z]), n_max)[:, 0], row)
 
 
+# Exact zeros, arguments on both sides of the tiny-z cutoff, and 1e-200:
+# under a shared start up to z ~ 2000 its multiplier 2n/z passes 1e191, so
+# the rescale re-tests its columns instead of trusting one pass.
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    zs=st.lists(
+        st.one_of(
+            st.floats(min_value=-300.0, max_value=3.3).map(lambda e: 10.0**e),
+            st.sampled_from([0.0, 1e-291, 1e-289, 1e-200]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    n_max=st.integers(min_value=0, max_value=150),
+)
+def test_drawn_columns_equal_the_scalar_loop_bit_for_bit(zs, n_max):
+    zs = np.array(zs)
+    shared = bessel_rows(zs, n_max)
+    own = bessel_row_batch(zs, n_max)
+    start = start_order(float(zs.max()), n_max)
+    for i, z in enumerate(zs):
+        assert np.array_equal(shared[:, i], bessel_row_loop(z, n_max, start)), (z, n_max)
+        assert np.array_equal(own[:, i], bessel_row_loop(z, n_max)), (z, n_max)
+
+
+def _smoothing_grid():
+    """The 2-D shared-start grid that smoothed_survival passes for criterion 6's times."""
+    gamma = WalkParams().gamma
+    ts = np.geomspace(50.0, 500.0, 64)
+    half = SMOOTHING_HALF_WIDTH / gamma
+    offsets = ((np.arange(SMOOTHING_NODES) + 0.5) / SMOOTHING_NODES * 2.0 - 1.0) * half
+    return 2.0 * gamma * (ts[..., None] + offsets)
+
+
 # sha256 of the whole matrix, -0.0 and all. fig5's shared-start pass
 # rescales at 847 of its 1116 orders, the series job's per-column pass at
 # 225, so a rescale that touched the wrong rows would change these bytes.
@@ -133,7 +169,9 @@ def test_row_equals_the_scalar_loop_bit_for_bit(n_max):
      "282257ce2587545ef01d378df9218f3149c7c0d986a0e2d7cb1f536e7686a59f"),
     (lambda: bessel_row_batch(2 * np.linspace(0, 500, 201), 1061),
      "c9480bde6bfb34f889130277ae0b67ed88b40c090e77896356e00927b51636a3"),
-], ids=["fig5", "series"])
+    (lambda: bessel_rows(_smoothing_grid(), 2),
+     "2ec228c8638a2fad6be6c5c0cb81b5cd6ebdd9c94997f054cecbdef052faa48b"),
+], ids=["fig5", "series", "smoothing"])
 def test_rescaled_matrix_bytes_are_pinned(matrix, digest):
     assert hashlib.sha256(matrix().tobytes()).hexdigest() == digest
 
