@@ -33,7 +33,7 @@ from .model import (
 )
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
 from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
-from .tables import WRITERS, emit_table
+from .tables import emit_table
 from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 
 # The most work one run may ask for, per counted quantity; each key is the unit
@@ -41,7 +41,9 @@ from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 # time, each to about 25 s of CPU on a 2-vCPU VM at the rate measured beside it.
 LIMITS = {
     "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
-    "amplitudes": 2**25,  # times x window sites: 512 MiB of complex
+    # times x window sites: a 512 MiB complex matrix; a run peaks at about twice
+    # that, as the norm check and the observables each square the whole matrix
+    "amplitudes": 2**25,
     # Bessel recurrence, start order x times: 21-40 ns each at 200-10^5 times and
     # 2.6 us an order at one; sites caps the order near 10^6, so the limit needs
     # 10^3 or more times, at 6-12 ns each.
@@ -210,7 +212,7 @@ def plan(args) -> Plan:
     """Check args and choose the run they ask for: params, times, window, and
     ring or RK4 spec. Nothing runs. Each choice is made only once the work it
     sizes is within LIMITS, sites first, so none overflows and each refusal
-    names the first fault. A figure needs --out and counts nothing."""
+    names the first fault. A figure needs an --out naming a file; it counts nothing."""
     run, command = Plan(), args.command
     if command == "sweep":
         if args.steps < 2:
@@ -218,8 +220,8 @@ def plan(args) -> Plan:
         if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
             raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
         run.count("rows", args.steps, "--steps asks for")
-    if command == "figure" and args.out is None:
-        raise ConfigError("figure requires --out (panel files derive from it)")
+    if command == "figure" and not (args.out and Path(args.out).name):
+        raise ConfigError("figure requires --out naming a file (panel files derive from it)")
     if command in ("sweep", "figure"):
         return run
     run.params = _spec(WalkParams, gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
@@ -298,15 +300,14 @@ def _amplitudes(run) -> np.ndarray:
     return analytic_amplitudes(run.params, run.window, run.times)
 
 
-def _emit(args, header, rows, tag=None):
-    """Write one table: to stdout, to --out, or, for a tagged panel, to --out
-    with _<tag> before the suffix."""
-    if args.out is None:
-        WRITERS[args.format](sys.stdout, header, rows)
-    else:
-        out = Path(args.out)
-        path = args.out if tag is None else str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
-        emit_table(path, args.format, header, rows)
+def _emit(args, tag, header, rows):
+    """Write one panel: to --out (stdout without it), or, for a tagged panel,
+    to --out with _<tag> before the suffix."""
+    path = args.out
+    if tag is not None:
+        out = Path(path)
+        path = str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
+    emit_table(path, args.format, header, rows)
 
 
 _WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
@@ -316,24 +317,21 @@ def _wavefunction_rows(window, amps):
     return list(zip(window.sites(), np.abs(amps) ** 2, amps.real, amps.imag))
 
 
-def cmd_wavefunction(args, run):
-    amps = _amplitudes(run)
-    _emit(args, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, amps[0]))
-    return 0
+# Each builder yields its panels as (tag or None, header, rows).
+def _wavefunction(args, run):
+    yield None, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, _amplitudes(run)[0])
 
 
-def cmd_observables(args, run):
+def _observables(args, run):
     rows = list(zip(run.times, *observables_from_amplitudes(run.window, _amplitudes(run))))
-    _emit(args, ["t", "mean_x", "msd", "survival"], rows)
-    return 0
+    yield None, ["t", "mean_x", "msd", "survival"], rows
 
 
-def cmd_survival(args, run):
-    _emit(args, ["t", "P_surv"], list(zip(run.times, survival_exact(run.params, run.times))))
-    return 0
+def _survival(args, run):
+    yield None, ["t", "P_surv"], list(zip(run.times, survival_exact(run.params, run.times)))
 
 
-def cmd_sweep(args, run):
+def _sweep(args, run):
     rows = []
     for v in np.linspace(args.start, args.stop, args.steps):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
@@ -346,11 +344,9 @@ def cmd_sweep(args, run):
         if not math.isfinite(msd):
             raise ConfigError(f"MSD at tmax={args.tmax:g} overflows a double, gamma={args.gamma:g}")
         rows.append((float(v), mean_velocity(params), crossing_time(params.alpha), msd))
-    _emit(args, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows)
-    return 0
+    yield None, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows
 
 
-# Each figure builder yields its panels as (tag or None, header, rows).
 _D_TAGS = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
 
 
@@ -399,11 +395,8 @@ def _fig5():
 
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
 
-
-def cmd_figure(args, run):
-    for tag, header, rows in FIGURES[args.figure_id]():
-        _emit(args, header, rows, tag)
-    return 0
+TABLES = {"wavefunction": _wavefunction, "observables": _observables, "survival": _survival,
+          "sweep": _sweep, "figure": lambda args, run: FIGURES[args.figure_id]()}
 
 
 def cmd_validate(args, run):
@@ -416,16 +409,6 @@ def cmd_validate(args, run):
     return 3 if failed else 0
 
 
-_COMMANDS = {
-    "wavefunction": cmd_wavefunction,
-    "observables": cmd_observables,
-    "survival": cmd_survival,
-    "sweep": cmd_sweep,
-    "figure": cmd_figure,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -434,7 +417,13 @@ def main(argv=None) -> int:
         if args.config:
             # argv[0] is the subcommand; the file's tokens go before every flag
             args = parser.parse_args(argv[:1] + load_config(args.config, args) + argv[1:])
-        return _COMMANDS[args.command](args, plan(args))  # one plan for the whole run
+        run = plan(args)  # one plan for the whole run
+        if args.command == "validate":
+            return cmd_validate(args, run)
+        panels = list(TABLES[args.command](args, run))  # a failing panel leaves no file
+        for panel in panels:
+            _emit(args, *panel)
+        return 0
     except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a bad argv
         return exc.code
     except ConfigError as exc:

@@ -1,7 +1,9 @@
-"""CSV/JSON emission with round-trip-exact floating point formatting."""
+"""CSV/JSON tables with round-trip-exact floating point formatting; emit_table
+writes every table, to a file or to stdout."""
 
 import json
 import math
+import sys
 from typing import Iterable, Sequence
 
 
@@ -27,10 +29,14 @@ WRITERS = {"csv": write_csv, "json": write_json}
 
 
 def emit_table(path, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one table in fmt to the file at path, or to sys.stdout when path is
+    None. An empty table or an unknown format is refused before any write."""
     rows = list(rows)
     if not rows:
         raise ValueError("refusing to emit an empty table")
     if fmt not in WRITERS:
         raise ValueError(f"unknown format {fmt!r}")
+    if path is None:
+        return WRITERS[fmt](sys.stdout, header, rows)
     with open(path, "w", newline="") as fh:
         WRITERS[fmt](fh, header, rows)

@@ -400,6 +400,22 @@ def test_figure_without_out_is_refused_before_any_figure_is_built(tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig1", "--out", "."],
+    ["figure", "fig1", "--out", ""],
+    ["figure", "fig5", "--out", "/"],
+], ids=" ".join)
+def test_figure_out_without_a_file_name_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # panel names derive from the file name of --out; these have none
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "figure requires --out naming a file" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 # The benchmark's jobs, written out here: a limit tightened below one of them
 # fails this test rather than the benchmark.
 BENCHMARK_JOBS = [

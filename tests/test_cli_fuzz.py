@@ -1,16 +1,22 @@
-"""Fuzz the CLI's exit-code contract: 0 ok, 1 I/O, 2 config, 3 numerical.
+"""Fuzz the CLI's exit-code contract: 0 ok, 1 I/O, 2 config, 3 numerical;
+and the values of the tables it writes with exit code 0.
 
 Hypothesis draws argv from the CLI grammar (valid, extreme, non-finite and
 garbage values; whole, ``--flag=value`` and abbreviated flags; config-file
 lines) and runs ``main`` in-process with every work limit set low, so each
-example finishes in milliseconds. Seeded, so tier-1 stays deterministic.
+example finishes in milliseconds. A second test draws valid ``observables``
+argv for every source and checks each table against the closed-form laws.
+Seeded, so tier-1 stays deterministic.
 """
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -93,12 +99,13 @@ def test_every_argv_keeps_the_exit_code_contract(invocation):
     argv, lines, out = invocation
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "LIMITS", LOW_LIMITS)
+        mp.chdir(tmp)  # --out relative to tmp: tmp / "." is tmp, and panels went beside it
         tmp = Path(tmp)
         if lines:
             (tmp / "run.cfg").write_text("\n".join(lines) + "\n")
             argv = argv + ["--config", str(tmp / "run.cfg")]
         if out is not None:
-            argv = argv + ["--out", str(tmp / out)]
+            argv = argv + ["--out", out]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
@@ -107,3 +114,42 @@ def test_every_argv_keeps_the_exit_code_contract(invocation):
     assert "Traceback" not in stderr.getvalue(), (argv, lines)
     if code != 0:
         assert written == [], (argv, lines, written)
+
+
+@st.composite
+def observables_argv(draw):
+    """(argv, gamma, alpha, D, times) of a valid observables run to stdout in JSON."""
+    source = draw(st.sampled_from(["analytic", "spectral", "ode"]))
+    gamma = draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]))
+    alpha = draw(st.sampled_from([0.0, 0.7, math.pi / 2, -2.0, 4.0, 1e6, -1e12]))
+    d = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    gt = draw(st.sampled_from([0.5, 2.0] if source == "ode" else [0.5, 5.0, 20.0]))
+    npoints = draw(st.integers(2, 9))
+    spacing = draw(st.sampled_from(["lin", "log"]))
+    tmax = gt / gamma
+    tmin = tmax / 1000 if spacing == "log" else 0.0
+    argv = ["observables", "--source", source, "--gamma", repr(gamma), "--alpha", repr(alpha),
+            "--dparam", repr(d), "--tmin", repr(tmin), "--tmax", repr(tmax),
+            "--npoints", str(npoints), "--spacing", spacing, "--format", "json"]
+    space = np.geomspace if spacing == "log" else np.linspace
+    return argv, gamma, alpha, d, space(tmin, tmax, npoints)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(observables_argv())
+def test_every_observables_table_obeys_the_closed_form_laws(drawn):
+    argv, gamma, alpha, d, times = drawn
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    doc = json.loads(stdout.getvalue())
+    assert doc["columns"] == ["t", "mean_x", "msd", "survival"]
+    t, mean_x, msd, survival = np.array(doc["rows"], dtype=float).T
+    assert np.array_equal(t, times), argv
+    # the laws are written out here, not taken from ctqw, as in perfbench/workloads.py
+    drift = -2.0 * gamma * math.sin(alpha) * math.sqrt(2.0 * d * (1.0 - d)) * t
+    assert np.all(np.abs(mean_x - drift) <= 1e-9 * np.maximum(1.0, np.abs(drift))), argv
+    msd_law = d + 2.0 * gamma**2 * t**2 * (1.0 - d / 2.0 + d * math.sin(alpha) ** 2)
+    assert np.all(np.abs(msd - msd_law) <= 1e-9 * np.maximum(1.0, msd_law)), argv
+    assert np.all((survival >= 0.0) & (survival <= 1.0 + 1e-12)), argv

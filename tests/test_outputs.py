@@ -25,8 +25,9 @@ import pytest
 from ctqw.cli import main
 
 DIGESTS = Path(__file__).with_name("outputs.sha256")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-# the CLI examples of README.md, as written there
+# the CLI examples of README.md, as written there (test_readme_examples_are_the_cases)
 CASES = {
     "readme-wavefunction": "wavefunction --dparam 0.5 --alpha 0.7854 --tmax 10 --out wf.csv",
     "readme-observables": "observables --dparam 0.5 --alpha 1.5708 --tmax 20 --npoints 41 "
@@ -76,6 +77,16 @@ def output_digest(argv):
 def _recorded():
     pairs = (line.split() for line in DIGESTS.read_text().splitlines() if line.strip())
     return {name: digest for digest, name in pairs}
+
+
+def test_readme_examples_are_the_cases():
+    # the first sh block under "## CLI", one command a line once continuations are joined
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [line.split() for line in block.splitlines() if line.strip()]
+    assert [words[0] for words in commands] == ["ctqw"] * len(commands)
+    assert ([" ".join(words[1:]) for words in commands]
+            == [argv for name, argv in CASES.items() if name.startswith("readme-")])
 
 
 def test_every_case_is_recorded():

@@ -1,5 +1,6 @@
 """The table writers: the bytes of each cell, and reading them back."""
 
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +76,29 @@ def test_writers_keep_every_cell(table):
                 assert isinstance(b, float) and bits(b) == bits(f)
             else:
                 assert b == ("nan" if math.isnan(f) else "inf" if f > 0 else "-inf")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_gets_the_bytes_of_the_file(tmp_path, fmt):
+    header, rows = ["t", "x"], [(0.0, 1), (0.1, -math.inf), (5e-324, math.nan)]
+    path = tmp_path / f"t.{fmt}"
+    emit_table(path, fmt, header, rows)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        emit_table(None, fmt, header, rows)
+    assert stdout.getvalue().encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path", [None, "t.csv"], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt, rows, message", [
+    ("csv", [], "refusing to emit an empty table"),
+    ("json", [], "refusing to emit an empty table"),
+    ("xml", [(1.0,)], "unknown format 'xml'"),
+])
+def test_refusals_write_nothing(tmp_path, monkeypatch, path, fmt, rows, message):
+    monkeypatch.chdir(tmp_path)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(ValueError, match=message):
+        emit_table(path, fmt, ["a"], rows)
+    assert stdout.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
