@@ -6,9 +6,11 @@ validation failure.
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -96,6 +98,7 @@ def _add_numerics(parser):
                         help="override the RK4 time step (default 1e-3/gamma)")
 
 
+@lru_cache(maxsize=None)  # built by the first main, reused by every later one
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ctqw",
@@ -301,10 +304,11 @@ def _amplitudes(run) -> np.ndarray:
 
 
 def _emit(args, tag, header, rows):
-    """Write one panel: to --out (stdout without it), or, for a tagged panel,
-    to --out with _<tag> before the suffix."""
+    """Write a panel to --out (stdout without it); a tagged one gets _<tag> before the suffix."""
     path = args.out
-    if tag is not None:
+    if tag is not None:  # a directory ("foo/", "foo/.", ".."): pathlib would put panels elsewhere
+        if os.path.basename(path) in ("", ".", ".."):
+            raise OSError(f"--out {path!r} names a directory, not the file panels derive from")
         out = Path(path)
         path = str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
     emit_table(path, args.format, header, rows)

@@ -8,11 +8,11 @@ Two routes that share nothing with the Bessel evaluation:
 * ode: fixed-step classical RK4 on the truncated chain,
   d psi_x / dt = i gamma (e^{i alpha} psi_{x-1} + e^{-i alpha} psi_{x+1}).
   The integrator is batched and checkpointed: its state holds sites on
-  axis 0 and one row per parameter set on axis 1, for any number of rows,
-  and it runs once through a sorted list of times, returning a snapshot at
-  each.  ``check_rows`` rejects a snapshot with weight at the edges of a
-  window or a drifted norm; the integrator applies it to its own window,
-  and the oracle triangle to each time's sub-window.
+  axis 0, with a zero ghost site past each edge, and one row per parameter
+  set on axis 1; it runs once through a sorted list of times, returning a
+  snapshot at each.  ``check_rows`` rejects a snapshot with weight at the
+  edges of a window or a drifted norm; the integrator applies it to its own
+  window, and the oracle triangle to each time's sub-window.
 """
 
 import math
@@ -129,9 +129,9 @@ def propagate_ode_batch(
     (n_sites x rows) array for any number of rows.  The integration runs
     once through the checkpoint times; every gap between checkpoints takes
     full steps of ``ode.step`` and at most one shortened final step, so a
-    snapshot equals chained single-gap runs bit for bit.  A step runs on
-    buffers and shifted views made once per call, with every ufunc writing
-    through ``out=`` in the plain RK4 expression's order: the same bits.
+    snapshot equals chained single-gap runs bit for bit.  A step is 24 ufunc
+    calls on buffers made once per call (zero ghost sites, real scalars on
+    float64 views), in the plain RK4 expression's order: the same bytes.
     Returns the amplitudes, shape ``(len(times), len(params), n_sites)``.
     Every snapshot passes ``check_rows`` on the window's outer sites.
     """
@@ -150,43 +150,42 @@ def propagate_ode_batch(
 
     hop_left = np.array([1j * p.gamma * np.exp(1j * p.alpha) for p in params])  # x-1 -> x
     hop_right = np.array([1j * p.gamma * np.exp(-1j * p.alpha) for p in params])  # x+1 -> x
-    # sites along axis 0, rows along axis 1: the shifted slices of each stage
-    # are then whole contiguous blocks; the hops are tiled to the shape they
-    # multiply, so no operand is broadcast
-    hop_left, hop_right = (np.tile(hop, (window.n_sites - 1, 1)) for hop in (hop_left, hop_right))
-    psi = np.stack([initial_state_position(p, window) for p in params], axis=1)
+    # sites on axis 0 with a zero ghost past each edge of psi and tmp, rows on axis 1:
+    # shifted sources are whole blocks, and hops tiled to their shape broadcast nothing
+    hop_left, hop_right = (np.tile(hop, (window.n_sites, 1)) for hop in (hop_left, hop_right))
+    psi_g, tmp_g = (np.zeros((window.n_sites + 2, len(params)), dtype=complex) for _ in range(2))
+    psi, tmp = psi_g[1:-1], tmp_g[1:-1]
+    psi[...] = np.stack([initial_state_position(p, window) for p in params], axis=1)
 
-    k1, k2, k3, k4, tmp, acc = (np.empty_like(psi) for _ in range(6))
-    spill = np.empty_like(psi[1:])
-    two = np.complex128(2.0)
-    # each stage's k and source, with their shifted views, built once
-    stages = [(k, k[1:], k[:-1], src[:-1], src[1:])
-              for k, src in ((k1, psi), (k2, tmp), (k3, tmp), (k4, tmp))]
+    k1, k2, k3, k4, acc, spill = (np.empty_like(psi) for _ in range(6))
+    tmp_f, acc_f = tmp.view(float), acc.view(float)
+    # each stage's k, its float64 view and its source's shifted views, built once
+    stages = [(k, k.view(float), src[:-2], src[2:])
+              for k, src in ((k1, psi_g), (k2, tmp_g), (k3, tmp_g), (k4, tmp_g))]
     snapshots = np.empty((len(times), len(params), window.n_sites), dtype=complex)
     for i, (t_prev, t) in enumerate(zip([0.0] + times, times)):
         gap = t - t_prev
         n_full = int(math.floor(gap / ode.step + 1e-12))
         last = gap - n_full * ode.step
-        # n_full steps of ode.step, then at most one shortened step; complex scalars made once
+        # n_full steps of ode.step, then at most one shortened step; 0-d scalars convert once
         for h, n in ((ode.step, n_full), (last, int(last > 1e-15 * max(gap, 1.0)))):
-            half, whole, sixth = (np.complex128(x) for x in (0.5 * h, h, h / 6.0))
+            half, whole, sixth = (np.array(x) for x in (0.5 * h, h, h / 6.0))
             for _ in range(n):
-                for (k, k_hi, k_lo, src_lo, src_hi), c in zip(stages, (half, half, whole, None)):
-                    # k = hop_left * src[x-1] + hop_right * src[x+1], zero past the edges
-                    k[0] = 0.0
-                    np.multiply(hop_left, src_lo, out=k_hi)
-                    np.multiply(hop_right, src_hi, out=spill)
-                    np.add(k_lo, spill, out=k_lo)
+                for (k, k_f, src_lo, src_hi), c in zip(stages, (half, half, whole, None)):
+                    # k = hop_left * src[x-1] + hop_right * src[x+1], the ghosts zero
+                    np.multiply(hop_left, src_lo, k)
+                    np.multiply(hop_right, src_hi, spill)
+                    np.add(k, spill, k)
                     if c is not None:  # the next stage's source: psi + c * k
-                        np.multiply(k, c, out=tmp)
-                        np.add(tmp, psi, out=tmp)
+                        np.multiply(k_f, c, tmp_f)  # real c on both parts: c + 0j's bits
+                        np.add(tmp, psi, tmp)
                 # psi += h/6 (k1 + 2 (k2 + k3) + k4), in the plain expression's order
-                np.add(k2, k3, out=acc)
-                np.multiply(two, acc, out=acc)
-                np.add(k1, acc, out=acc)
-                np.add(acc, k4, out=acc)
-                np.multiply(sixth, acc, out=acc)
-                np.add(psi, acc, out=psi)
+                np.add(k2, k3, acc)
+                np.add(acc, acc, acc)
+                np.add(k1, acc, acc)
+                np.add(acc, k4, acc)
+                np.multiply(acc_f, sixth, acc_f)
+                np.add(psi, acc, psi)
         snapshots[i] = psi.T
         check_rows(snapshots[i], params, t, 0, window.n_sites - 1)
     return snapshots

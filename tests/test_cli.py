@@ -416,6 +416,40 @@ def test_figure_out_without_a_file_name_is_refused(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["foo/", "foo/.", "..", "foo/.."])
+@pytest.mark.parametrize("figure_id", ["fig1", "fig2", "fig5"])
+def test_figure_out_naming_a_directory_is_an_io_error(tmp_path, monkeypatch, capsys,
+                                                      figure_id, out):
+    # pathlib reads "foo/" and "foo/." as "foo", so tagged panels went beside the
+    # directory; they are refused as open refuses fig2's one untagged table
+    work = tmp_path / "work"
+    (work / "foo").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert run("figure", figure_id, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "i/o error" in captured.err and repr(out) in captured.err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_a_config_run_leaves_the_next_run_its_own_defaults(tmp_path, capsys):
+    # one parser serves every main call in a process; a config file's values
+    # must not stick to it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 2\nalpha = 1\ndparam = 0.5\n")
+    plain = ["survival", "--tmax", "1", "--npoints", "3"]
+    assert run(*plain) == 0
+    before = capsys.readouterr().out
+    assert run(*plain, "--config", str(cfg)) == 0
+    assert capsys.readouterr().out != before
+    assert run(*plain) == 0
+    assert capsys.readouterr().out == before
+    args = build_parser().parse_args(["survival"])
+    assert (args.config, args.gamma, args.alpha, args.dparam) == (None, 1.0, 0.0, 0.0)
+    assert build_parser() is build_parser()
+
+
 # The benchmark's jobs, written out here: a limit tightened below one of them
 # fails this test rather than the benchmark.
 BENCHMARK_JOBS = [

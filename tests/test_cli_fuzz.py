@@ -4,9 +4,9 @@ and the values of the tables it writes with exit code 0.
 Hypothesis draws argv from the CLI grammar (valid, extreme, non-finite and
 garbage values; whole, ``--flag=value`` and abbreviated flags; config-file
 lines) and runs ``main`` in-process with every work limit set low, so each
-example finishes in milliseconds. A second test draws valid ``observables``
-argv for every source and checks each table against the closed-form laws.
-Seeded, so tier-1 stays deterministic.
+example finishes in milliseconds. Two more tests draw valid ``observables``
+and ``wavefunction`` argv for every source and check each table against the
+closed-form laws. Seeded, so tier-1 stays deterministic.
 """
 
 import contextlib
@@ -153,3 +153,45 @@ def test_every_observables_table_obeys_the_closed_form_laws(drawn):
     msd_law = d + 2.0 * gamma**2 * t**2 * (1.0 - d / 2.0 + d * math.sin(alpha) ** 2)
     assert np.all(np.abs(msd - msd_law) <= 1e-9 * np.maximum(1.0, msd_law)), argv
     assert np.all((survival >= 0.0) & (survival <= 1.0 + 1e-12)), argv
+
+
+@st.composite
+def wavefunction_argv(draw):
+    """(argv, gamma, alpha, D, t, format) of a valid wavefunction run to stdout."""
+    source = draw(st.sampled_from(["analytic", "spectral", "ode"]))
+    gamma = draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]))
+    alpha = draw(st.sampled_from([0.0, 0.7, math.pi / 2, -2.0, 4.0, 1e6, -1e12]))
+    d = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    gt = draw(st.sampled_from([0.0, 0.5, 2.0] if source == "ode" else [0.0, 0.5, 5.0, 20.0]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    t = gt / gamma
+    argv = ["wavefunction", "--source", source, "--gamma", repr(gamma), "--alpha", repr(alpha),
+            "--dparam", repr(d), "--tmax", repr(t), "--format", fmt]
+    return argv, gamma, alpha, d, t, fmt
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wavefunction_argv())
+def test_every_wavefunction_table_obeys_the_closed_form_laws(drawn):
+    argv, gamma, alpha, d, t, fmt = drawn
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    if fmt == "json":
+        doc = json.loads(stdout.getvalue())
+        header, rows = doc["columns"], doc["rows"]
+    else:
+        header, *lines = stdout.getvalue().splitlines()
+        header, rows = header.split(","), [line.split(",") for line in lines]
+    assert header == ["x", "prob", "re_psi", "im_psi"]
+    x, prob, re, im = np.array(rows, dtype=float).T
+    assert np.array_equal(x, np.arange(-(x.size // 2), x.size // 2 + 1)), argv
+    # the laws are written out here, not taken from ctqw, as in perfbench/workloads.py
+    assert abs(prob.sum() - 1.0) <= 1e-9, argv
+    drift = -2.0 * gamma * math.sin(alpha) * math.sqrt(2.0 * d * (1.0 - d)) * t
+    assert abs((x * prob).sum() - drift) <= 1e-9, argv
+    msd_law = d + 2.0 * gamma**2 * t**2 * (1.0 - d / 2.0 + d * math.sin(alpha) ** 2)
+    assert abs((x**2 * prob).sum() - msd_law) <= 1e-9 * msd_law, argv
+    # prob is |psi|^2 of the amplitudes printed beside it
+    assert np.all(np.abs(prob - (re**2 + im**2)) <= 1e-15 * prob), argv
