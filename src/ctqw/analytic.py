@@ -39,13 +39,9 @@ def _batch_args(points: Sequence[WalkParams], times):
     return gammas.pop(), times
 
 
-def analytic_amplitudes_batch(
-    points: Sequence[WalkParams], window: LatticeWindow, times
-) -> np.ndarray:
-    """Exact amplitudes of each point on the window at each time >= 0, shape
-    (len(times), len(points), n_sites) as from propagate_ode_batch. The Bessel
-    factors depend only on gamma*t, so one recurrence serves every point and
-    time; each entry equals the one-point, one-time evaluation bit for bit."""
+def analytic_blocks(points: Sequence[WalkParams], window: LatticeWindow, times, block: int):
+    """analytic_amplitudes_batch in time order, in blocks of at most ``block``
+    times, each norm-checked as it is made; one Bessel recurrence serves them all."""
     gamma, times = _batch_args(points, times)
     rows = bessel_row_batch(2.0 * gamma * times, window.half_width + 1)
     # i^n J_n for n >= 0; note i^{-n} J_{-n} = i^n J_n, so negative
@@ -54,20 +50,29 @@ def analytic_amplitudes_batch(
 
     xs = window.sites()
     at_x, at_right, at_left = np.abs(xs), np.abs(xs + 1), np.abs(xs - 1)
-    psi = np.empty((times.size, len(points), window.n_sites), dtype=complex)
-    for j, params in enumerate(points):
-        d = params.delocalization
-        a = params.alpha
-        phase = np.exp(1j * a * xs)
-        centre, side = math.sqrt(1.0 - d), math.sqrt(d / 2.0)
-        hop_right, hop_left = np.exp(1j * a), np.exp(-1j * a)
-        for i in range(times.size):
-            jt = i_pow * rows[:, i]
-            psi[i, j] = phase * (
-                centre * jt[at_x] + side * (hop_right * jt[at_right] + hop_left * jt[at_left])
-            )
-        check_norm_deficit(window, psi[:, j], times)
-    return psi
+    # each point's phase, centre and side weights, and hops, made once for every block
+    terms = [(np.exp(1j * p.alpha * xs), math.sqrt(1.0 - p.delocalization),
+              math.sqrt(p.delocalization / 2.0), np.exp(1j * p.alpha), np.exp(-1j * p.alpha))
+             for p in points]
+    for lo in range(0, max(times.size, 1), block):  # an empty grid is one empty block
+        psi = np.empty((min(block, times.size - lo), len(points), window.n_sites), dtype=complex)
+        for j, (phase, centre, side, hop_right, hop_left) in enumerate(terms):
+            for i in range(len(psi)):
+                jt = i_pow * rows[:, lo + i]
+                psi[i, j] = phase * (
+                    centre * jt[at_x] + side * (hop_right * jt[at_right] + hop_left * jt[at_left])
+                )
+            check_norm_deficit(window, psi[:, j], times[lo : lo + block])
+        yield psi
+
+
+def analytic_amplitudes_batch(points: Sequence[WalkParams], window: LatticeWindow,
+                              times) -> np.ndarray:
+    """Exact amplitudes of each point on the window at each time >= 0, shape
+    (len(times), len(points), n_sites) as from propagate_ode_batch. The Bessel
+    factors depend only on gamma*t, so one recurrence serves every point and
+    time; each entry equals the one-point, one-time evaluation bit for bit."""
+    return next(analytic_blocks(points, window, times, max(np.size(times), 1)))  # one block
 
 
 def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .bessel import start_order
 from .analytic import (
-    analytic_amplitudes,
     analytic_amplitudes_batch,
+    analytic_blocks,
     survival_asymptotic,
     survival_exact,
     survival_exact_batch,
@@ -34,7 +34,7 @@ from .model import (
     window_for,
 )
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
-from .propagators import OdeSpec, RingSpec, propagate_ode_batch, spectral_amplitudes
+from .propagators import OdeSpec, RingSpec, propagate_ode_blocks, spectral_blocks
 from .tables import emit_table
 from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 
@@ -43,8 +43,8 @@ from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 # time, each to about 25 s of CPU on a 2-vCPU VM at the rate measured beside it.
 LIMITS = {
     "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
-    # times x window sites: a 512 MiB complex matrix; a run peaks at about twice
-    # that, as the norm check and the observables each square the whole matrix
+    # times x window sites, 512 MiB of complex; observables makes it in blocks, so at
+    # the limit it peaks at 161 MiB RSS (analytic: its Bessel rows), 32 spectral, 50 ode
     "amplitudes": 2**25,
     # Bessel recurrence, start order x times: 21-40 ns each at 200-10^5 times and
     # 2.6 us an order at one; sites caps the order near 10^6, so the limit needs
@@ -55,6 +55,7 @@ LIMITS = {
     "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each
     "rows": 10**6,  # of a time-grid or sweep table: 2-22 us each
 }
+BLOCK_AMPLITUDES = 2**15  # the most that observables holds at once: 0.5 MiB of complex
 
 
 class ConfigError(Exception):
@@ -294,13 +295,14 @@ def plan(args) -> Plan:
     return run
 
 
-def _amplitudes(run) -> np.ndarray:
-    """The plan's (times x sites) amplitude matrix on its window, by its route."""
+def _blocks(run):
+    """The plan's (times x sites) amplitudes by its route, BLOCK_AMPLITUDES at a time."""
+    size = max(1, BLOCK_AMPLITUDES // run.window.n_sites)
     if run.ring is not None:
-        return spectral_amplitudes(run.params, run.ring, run.window, run.times)
-    if run.ode is not None:
-        return propagate_ode_batch(run.points, run.window, run.ode, run.times)[:, 0]
-    return analytic_amplitudes(run.params, run.window, run.times)
+        return spectral_blocks(run.params, run.ring, run.window, run.times, size)
+    blocks = (analytic_blocks([run.params], run.window, run.times, size) if run.ode is None
+              else propagate_ode_blocks(run.points, run.window, run.ode, run.times, size))
+    return (amps[:, 0] for amps in blocks)  # of the one point
 
 
 def _emit(args, tag, header, rows):
@@ -323,11 +325,15 @@ def _wavefunction_rows(window, amps):
 
 # Each builder yields its panels as (tag or None, header, rows).
 def _wavefunction(args, run):
-    yield None, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, _amplitudes(run)[0])
+    yield None, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, next(_blocks(run))[0])
 
 
 def _observables(args, run):
-    rows = list(zip(run.times, *observables_from_amplitudes(run.window, _amplitudes(run))))
+    rows = np.empty((len(run.times), 4))  # t, mean, MSD, survival: one float64 row per time
+    rows[:, 0], lo = run.times, 0
+    for amps in _blocks(run):  # each block is reduced to its rows and dropped
+        rows[lo : lo + len(amps), 1:] = np.transpose(observables_from_amplitudes(run.window, amps))
+        lo += len(amps)
     yield None, ["t", "mean_x", "msd", "survival"], rows
 
 

@@ -79,20 +79,10 @@ class OdeSpec:
         return cls(step=1e-3 / params.gamma)
 
 
-def spectral_amplitudes(
-    params: WalkParams,
-    ring: RingSpec,
-    window: LatticeWindow,
-    times,
-    initial: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Amplitudes on the window at each time, shape (len(times), n_sites), by
-    diagonalizing in momentum space; exactly unitary.
-
-    Evolves the three-site initial state, or ``initial`` amplitudes of any norm
-    on the window; negative times run backwards (time-reversal checks).  Only
-    the phase, the inverse FFT and the gather depend on t.
-    """
+def spectral_blocks(params: WalkParams, ring: RingSpec, window: LatticeWindow, times,
+                    block: int, initial: Optional[np.ndarray] = None):
+    """spectral_amplitudes in time order, in blocks of at most ``block`` times, each
+    norm-checked; the ring check and the forward FFT are made once for all of them."""
     times = np.asarray(times, dtype=float)
     ring.validate_for(params, float(times[np.argmax(np.abs(times))]))  # the farthest time
     if window.n_sites > ring.size:
@@ -108,20 +98,26 @@ def spectral_amplitudes(
 
     k = 2.0 * math.pi * np.arange(ring.size) / ring.size
     cosk = np.cos(band_phase(params.alpha) - k)
-    psi_k = np.fft.fft(psi0)
-    amps = np.empty((times.size, window.n_sites), dtype=complex)
-    for i, t in enumerate(times):
-        amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]
-    check_norm_deficit(window, amps, times, np.sum(np.abs(psi0) ** 2))  # the norm it keeps
-    return amps
+    psi_k, norm = np.fft.fft(psi0), np.sum(np.abs(psi0) ** 2)  # the norm it keeps
+    for lo in range(0, times.size, block):
+        amps = np.empty((min(block, times.size - lo), window.n_sites), dtype=complex)
+        for i, t in enumerate(times[lo : lo + block]):
+            amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]
+        check_norm_deficit(window, amps, times[lo:], norm)  # names the block's first leak
+        yield amps
 
 
-def propagate_ode_batch(
-    params: Sequence[WalkParams],
-    window: LatticeWindow,
-    ode: OdeSpec,
-    times: Sequence[float],
-) -> np.ndarray:
+def spectral_amplitudes(params: WalkParams, ring: RingSpec, window: LatticeWindow, times,
+                        initial: Optional[np.ndarray] = None) -> np.ndarray:
+    """Amplitudes on the window at each time, shape (len(times), n_sites), by
+    diagonalizing in momentum space; exactly unitary. Evolves the three-site
+    initial state, or ``initial`` amplitudes of any norm on the window; negative
+    times run backwards (time-reversal checks). Each time takes one inverse FFT."""
+    return next(spectral_blocks(params, ring, window, times, max(np.size(times), 1), initial))
+
+
+def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, ode: OdeSpec,
+                         times: Sequence[float], block: int):
     """RK4 for several parameter rows at once, in one pass through sorted times.
 
     Each row starts from the three-site initial state of its own params and
@@ -132,15 +128,16 @@ def propagate_ode_batch(
     snapshot equals chained single-gap runs bit for bit.  A step is 24 ufunc
     calls on buffers made once per call (zero ghost sites, real scalars on
     float64 views), in the plain RK4 expression's order: the same bytes.
-    Returns the amplitudes, shape ``(len(times), len(params), n_sites)``.
-    Every snapshot passes ``check_rows`` on the window's outer sites.
+    Yields blocks of at most ``block`` snapshots in time order, shape ``(times,
+    len(params), n_sites)``; each passes ``check_rows`` on the window's outer sites.
     """
-    times = [float(t) for t in times]
-    if not params or not times:
+    times = np.asarray(times, dtype=float)
+    if not params or not times.size:
         raise ValueError("need at least one parameter row and one checkpoint time")
-    if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0] + times, times)):
-        raise ValueError(f"checkpoint times must be finite, nonnegative and sorted, got {times}")
-    t_max = times[-1]
+    if not (np.all(np.diff(times, prepend=0.0) >= 0.0) and np.all(times < math.inf)):
+        raise ValueError(f"checkpoint times must be finite, nonnegative and sorted, got "
+                         f"{times.tolist()}")
+    t_max = float(times[-1])
     need_half = 1 if t_max == 0.0 else max(light_cone_half_width(p.gamma, t_max) for p in params)
     if window.half_width < need_half:
         raise UndersizedGridError(
@@ -162,8 +159,9 @@ def propagate_ode_batch(
     # each stage's k, its float64 view and its source's shifted views, built once
     stages = [(k, k.view(float), src[:-2], src[2:])
               for k, src in ((k1, psi_g), (k2, tmp_g), (k3, tmp_g), (k4, tmp_g))]
-    snapshots = np.empty((len(times), len(params), window.n_sites), dtype=complex)
-    for i, (t_prev, t) in enumerate(zip([0.0] + times, times)):
+    for i, (t_prev, t) in enumerate(zip(np.append(0.0, times[:-1]), times)):
+        if i % block == 0:
+            snapshots = np.empty((min(block, times.size - i),) + psi.T.shape, dtype=complex)
         gap = t - t_prev
         n_full = int(math.floor(gap / ode.step + 1e-12))
         last = gap - n_full * ode.step
@@ -186,9 +184,16 @@ def propagate_ode_batch(
                 np.add(acc, k4, acc)
                 np.multiply(acc_f, sixth, acc_f)
                 np.add(psi, acc, psi)
-        snapshots[i] = psi.T
-        check_rows(snapshots[i], params, t, 0, window.n_sites - 1)
-    return snapshots
+        snapshots[i % block] = psi.T
+        check_rows(snapshots[i % block], params, t, 0, window.n_sites - 1)
+        if i % block == len(snapshots) - 1:
+            yield snapshots
+
+
+def propagate_ode_batch(params: Sequence[WalkParams], window: LatticeWindow, ode: OdeSpec,
+                        times: Sequence[float]) -> np.ndarray:
+    """propagate_ode_blocks in one block, shape ``(len(times), len(params), n_sites)``."""
+    return next(propagate_ode_blocks(params, window, ode, times, max(len(times), 1)))
 
 
 def check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float, lo: int, hi: int) -> None:

@@ -28,11 +28,10 @@ def write_json(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 WRITERS = {"csv": write_csv, "json": write_json}
 
 
-def emit_table(path, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one table in fmt to the file at path, or to sys.stdout when path is
-    None. An empty table or an unknown format is refused before any write."""
-    rows = list(rows)
-    if not rows:
+def emit_table(path, fmt: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write one table (rows may be a 2-D array) in fmt to path, or to sys.stdout when
+    path is None; an empty table or an unknown format is refused before any write."""
+    if len(rows) == 0:
         raise ValueError("refusing to emit an empty table")
     if fmt not in WRITERS:
         raise ValueError(f"unknown format {fmt!r}")

@@ -1,10 +1,27 @@
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ctqw import bessel, cli, validate
+from ctqw import (
+    LatticeWindow,
+    NumericalValidationError,
+    OdeSpec,
+    RingSpec,
+    UndersizedGridError,
+    WalkParams,
+    analytic_amplitudes,
+    bessel,
+    cli,
+    observables_from_amplitudes,
+    propagate_ode_batch,
+    spectral_amplitudes,
+    tables,
+    validate,
+)
 from ctqw.cli import build_parser, main, plan
 from readback import read_csv
 
@@ -529,3 +546,99 @@ def test_validate_quick_from_config(tmp_path, capsys):
     cfg.write_text("quick = true\n")
     assert run("validate", "--config", str(cfg)) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "64/64 checks passed"
+
+
+# observables in blocks of BLOCK_ROWS times: the window admits ode at gamma*t = 2
+BLOCK_ROWS = 3
+BLOCK_PARAMS = WalkParams(alpha=0.7, delocalization=0.3)
+
+
+def _whole_matrix(source, window, times, step=1e-3):
+    """The route's whole (times x sites) matrix from the public functions."""
+    if source == "analytic":
+        return analytic_amplitudes(BLOCK_PARAMS, window, times)
+    if source == "spectral":
+        return spectral_amplitudes(BLOCK_PARAMS, RingSpec.for_run(BLOCK_PARAMS, 2.0), window, times)
+    return propagate_ode_batch([BLOCK_PARAMS], window, OdeSpec(step), times)[:, 0]
+
+
+def _observables_argv(source, half_width, npoints, *flags):
+    return ["observables", "--source", source, "--alpha", "0.7", "--dparam", "0.3",
+            "--tmax", "2", "--npoints", str(npoints), "--half-width", str(half_width), *flags]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("spacing", ["lin", "log"])
+@pytest.mark.parametrize("npoints", [3 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize("source", ["analytic", "spectral", "ode"])
+def test_observables_in_blocks_equal_the_whole_matrix(tmp_path, monkeypatch, source, npoints,
+                                                      spacing, fmt):
+    window = LatticeWindow(45)
+    monkeypatch.setattr(cli, "BLOCK_AMPLITUDES", BLOCK_ROWS * window.n_sites + 5)
+    reduced, real = [], cli.observables_from_amplitudes
+    monkeypatch.setattr(cli, "observables_from_amplitudes",
+                        lambda w, amps: reduced.append(len(amps)) or real(w, amps))
+    out = tmp_path / f"obs.{fmt}"
+    tmin = 0.02 if spacing == "log" else 0.0
+    argv = _observables_argv(source, 45, npoints, "--tmin", repr(tmin), "--spacing", spacing,
+                             "--format", fmt, "--out", str(out))
+    assert run(*argv) == 0
+    # one reduction per block, in time order: full blocks, then the rest
+    assert reduced == [BLOCK_ROWS] * (npoints // BLOCK_ROWS) + [npoints % BLOCK_ROWS] * (
+        npoints % BLOCK_ROWS > 0)
+    times = (np.geomspace if spacing == "log" else np.linspace)(tmin, 2.0, npoints)
+    whole = observables_from_amplitudes(window, _whole_matrix(source, window, times))
+    expected = io.StringIO()
+    tables.WRITERS[fmt](expected, ["t", "mean_x", "msd", "survival"], list(zip(times, *whole)))
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("source, half_width, flags, error", [
+    ("analytic", 6, [], UndersizedGridError),
+    ("spectral", 6, [], UndersizedGridError),
+    ("ode", 45, ["--step", "0.02"], NumericalValidationError),  # RK4's norm drifts past 1e-9
+])
+def test_a_leak_in_a_later_block_names_the_first_leaking_time(tmp_path, monkeypatch, capsys,
+                                                              source, half_width, flags, error):
+    window, times = LatticeWindow(half_width), np.linspace(0.0, 2.0, 10)
+    step = float(flags[1]) if flags else 1e-3
+    monkeypatch.setattr(cli, "BLOCK_AMPLITUDES", BLOCK_ROWS * window.n_sites)
+    with pytest.raises(error) as whole:
+        _whole_matrix(source, window, times, step)
+
+    def leaks(n):
+        try:
+            _whole_matrix(source, window, times[:n], step)
+        except error:
+            return True
+        return False
+
+    first = min(n for n in range(1, times.size + 1) if leaks(n)) - 1
+    assert first >= BLOCK_ROWS  # past the first block
+    monkeypatch.chdir(tmp_path)
+    assert run(*_observables_argv(source, half_width, times.size, *flags, "--out", "o.csv")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the whole matrix's error, so the same first leaking time
+    assert captured.err == f"ctqw: numerical validation failure: {whole.value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source, flags, share", [
+    ("analytic", [], 2),  # the Miller rows, (half width + 2) x times, remain
+    ("spectral", ["--ring-size", "2048"], 8),
+    ("ode", [], 8),
+])
+def test_observables_memory_is_bounded_by_its_blocks(tmp_path, source, flags, share):
+    argv = ["observables", "--source", source, "--tmax", "0.5", "--npoints", "1100",
+            "--half-width", "1000", *flags, "--out", str(tmp_path / "o.csv")]
+    counted = plan(build_parser().parse_args(argv))
+    matrix = 16 * counted.counts["amplitudes"]  # bytes of the whole complex matrix
+    assert matrix >= 32 * 2**20
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix / share

@@ -6,7 +6,8 @@ garbage values; whole, ``--flag=value`` and abbreviated flags; config-file
 lines) and runs ``main`` in-process with every work limit set low, so each
 example finishes in milliseconds. Two more tests draw valid ``observables``
 and ``wavefunction`` argv for every source and check each table against the
-closed-form laws. Seeded, so tier-1 stays deterministic.
+closed-form laws, and two more do so for ``sweep`` and ``survival``.
+Seeded, so tier-1 stays deterministic.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from ctqw import cli
 
@@ -195,3 +197,105 @@ def test_every_wavefunction_table_obeys_the_closed_form_laws(drawn):
     assert abs((x**2 * prob).sum() - msd_law) <= 1e-9 * msd_law, argv
     # prob is |psi|^2 of the amplitudes printed beside it
     assert np.all(np.abs(prob - (re**2 + im**2)) <= 1e-15 * prob), argv
+
+
+def _table(text, fmt):
+    """(header, float rows) of a CSV or JSON table written to stdout."""
+    if fmt == "json":
+        doc = json.loads(text)
+        return doc["columns"], np.array(doc["rows"], dtype=float)
+    header, *lines = text.splitlines()
+    return header.split(","), np.array([line.split(",") for line in lines], dtype=float)
+
+
+@st.composite
+def sweep_argv(draw):
+    """(argv, gamma, alpha, D, tmax, swept values, format) of a valid sweep run to stdout."""
+    param = draw(st.sampled_from(["dparam", "alpha"]))
+    gamma = draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]))
+    alpha = draw(st.sampled_from([0.0, 0.7, math.pi / 4, math.pi / 2, -2.0, 4.0, 1e6]))
+    d = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    ends = [0.0, 0.25, 0.5, 1.0] if param == "dparam" else [-7.0, -math.pi, 0.0, 0.5,
+                                                             math.pi / 4, 3.0, 10.0]
+    start, stop = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+    steps = draw(st.integers(2, 40))
+    tmax = draw(st.sampled_from([0.0, 0.5, 5.0, 500.0]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    argv = ["sweep", "--sweep-param", param, "--gamma", repr(gamma), "--alpha", repr(alpha),
+            "--dparam", repr(d), "--start", repr(start), "--stop", repr(stop),
+            "--steps", str(steps), "--tmax", repr(tmax), "--format", fmt]
+    return argv, gamma, alpha, d, tmax, np.linspace(start, stop, steps), fmt
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sweep_argv())
+def test_every_sweep_table_obeys_the_closed_form_laws(drawn):
+    argv, gamma, alpha, d, tmax, swept, fmt = drawn
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    header, rows = _table(stdout.getvalue(), fmt)
+    assert header == [argv[2], "mean_velocity", "crossing_time", "msd_tmax"]
+    assert np.array_equal(rows[:, 0], swept), argv
+    # the laws are written out here, not taken from ctqw, as in perfbench/workloads.py
+    for v, velocity, t_cross, msd in rows:
+        dv, a = (v, alpha) if argv[2] == "dparam" else (d, v)
+        sin2 = math.sin(a) ** 2
+        law = -2.0 * gamma * math.sin(a) * math.sqrt(2.0 * dv * (1.0 - dv))
+        assert abs(velocity - law) <= 1e-12 * gamma, argv
+        # MSD(t) = D + 2 gamma^2 t^2 (1 - D/2 + D sin^2 alpha), whose D-slope
+        # 1 - (gamma t)^2 (1 - 2 sin^2 alpha) vanishes at gamma t_cross
+        if sin2 >= 0.5:
+            assert t_cross == math.inf, argv
+        elif sin2 < 0.5 - 1e-9:
+            assert t_cross == pytest.approx(1.0 / math.sqrt(1.0 - 2.0 * sin2), rel=1e-9), argv
+        else:  # within rounding of the boundary: no crossing, or a very late one
+            assert t_cross > 1e4, argv
+        msd_law = dv + 2.0 * gamma**2 * tmax**2 * (1.0 - dv / 2.0 + dv * sin2)
+        assert abs(msd - msd_law) <= 1e-12 * max(1.0, msd_law), argv
+
+
+@st.composite
+def survival_argv(draw):
+    """(argv, gamma, alpha, D, times, format, rows to check by mpmath) of a valid survival run."""
+    gamma = draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]))
+    alpha = draw(st.sampled_from([0.0, 0.7, math.pi / 2, -2.0, 4.0, 1e6, -1e12]))
+    d = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    gt = draw(st.sampled_from([0.5, 5.0, 50.0, 500.0]))
+    npoints = draw(st.integers(2, 60))
+    spacing = draw(st.sampled_from(["lin", "log"]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    tmax = gt / gamma
+    tmin = tmax / 1000 if spacing == "log" or draw(st.booleans()) else 0.0
+    argv = ["survival", "--gamma", repr(gamma), "--alpha", repr(alpha), "--dparam", repr(d),
+            "--tmin", repr(tmin), "--tmax", repr(tmax), "--npoints", str(npoints),
+            "--spacing", spacing, "--format", fmt]
+    space = np.geomspace if spacing == "log" else np.linspace
+    checked = draw(st.lists(st.integers(0, npoints - 1), min_size=1, max_size=5, unique=True))
+    return argv, gamma, alpha, d, space(tmin, tmax, npoints), fmt, checked
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(survival_argv())
+def test_every_survival_table_obeys_the_closed_form_law(drawn):
+    argv, gamma, alpha, d, times, fmt, checked = drawn
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    header, rows = _table(stdout.getvalue(), fmt)
+    assert header == ["t", "P_surv"]
+    t, survival = rows.T
+    assert np.array_equal(t, times), argv
+    assert np.all((survival >= 0.0) & (survival <= 1.0 + 1e-12)), argv
+    if t[0] == 0.0:
+        assert survival[0] == 1.0, argv
+    # P = J0^2 + 2 (1 - D sin^2 alpha) J1^2 + D J2^2 - 2 D cos(2 alpha) J0 J2 at z = 2 gamma t,
+    # with the Bessel functions from mpmath
+    sin2, cos2a = math.sin(alpha) ** 2, math.cos(2.0 * alpha)
+    with mp.workdps(30):
+        for i in checked:
+            j0, j1, j2 = (float(mp.besselj(n, 2 * mp.mpf(gamma) * mp.mpf(t[i]))) for n in range(3))
+            law = j0**2 + 2.0 * (1.0 - d * sin2) * j1**2 + d * j2**2 - 2.0 * d * cos2a * j0 * j2
+            assert abs(survival[i] - law) <= 1e-12, (argv, t[i])
