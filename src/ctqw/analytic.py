@@ -24,9 +24,6 @@ import numpy as np
 from .bessel import bessel_row_batch, bessel_rows
 from .model import LatticeWindow, WalkParams, check_norm_deficit
 
-# i^n by n mod 4; exact phases, no complex exponentiation.
-_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
-
 
 def _batch_args(points: Sequence[WalkParams], times):
     """The one gamma that the points share, and the times as floats >= 0."""
@@ -44,25 +41,25 @@ def analytic_blocks(points: Sequence[WalkParams], window: LatticeWindow, times, 
     times, each norm-checked as it is made; one Bessel recurrence serves them all."""
     gamma, times = _batch_args(points, times)
     rows = bessel_row_batch(2.0 * gamma * times, window.half_width + 1)
-    # i^n J_n for n >= 0; note i^{-n} J_{-n} = i^n J_n, so negative
-    # orders reuse the same values.
-    i_pow = _I_POW[np.arange(window.half_width + 2) % 4]
-
-    xs = window.sites()
-    at_x, at_right, at_left = np.abs(xs), np.abs(xs + 1), np.abs(xs - 1)
-    # each point's phase, centre and side weights, and hops, made once for every block
-    terms = [(np.exp(1j * p.alpha * xs), math.sqrt(1.0 - p.delocalization),
-              math.sqrt(p.delocalization / 2.0), np.exp(1j * p.alpha), np.exp(-1j * p.alpha))
-             for p in points]
+    # the order |x| for x = -half_width-1 .. half_width+1, as i^{-n} J_{-n} = i^n J_n,
+    # and i^|x| by |x| mod 4: exact phases, no complex exponentiation
+    orders = np.abs(np.arange(-window.half_width - 1, window.half_width + 2))
+    i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[orders % 4]
+    # each point's phase, centre and side weights, and hops, one point a row, made once
+    alpha, d = np.array([(p.alpha, p.delocalization) for p in points]).T[..., None]
+    phase = np.exp(1j * alpha * window.sites())
+    centre, side = np.sqrt(1.0 - d), np.sqrt(d / 2.0)
+    hop_right, hop_left = np.exp(1j * alpha), np.exp(-1j * alpha)
     for lo in range(0, max(times.size, 1), block):  # an empty grid is one empty block
-        psi = np.empty((min(block, times.size - lo), len(points), window.n_sites), dtype=complex)
-        for j, (phase, centre, side, hop_right, hop_left) in enumerate(terms):
-            for i in range(len(psi)):
-                jt = i_pow * rows[:, lo + i]
-                psi[i, j] = phase * (
-                    centre * jt[at_x] + side * (hop_right * jt[at_right] + hop_left * jt[at_left])
-                )
-            check_norm_deficit(window, psi[:, j], times[lo : lo + block])
+        # Jt_|x| at each time; its views are the x-1, x and x+1 terms of the docstring's sum,
+        # summed in place with one temporary: only real weights and sums trade operands
+        jt = i_pow * rows[:, lo : lo + block].T.take(orders, axis=1)[:, None]
+        psi = hop_right * jt[..., 2:]
+        psi += hop_left * jt[..., :-2]
+        psi *= side
+        psi += centre * jt[..., 1:-1]
+        np.multiply(phase, psi, out=psi)  # a complex product keeps its operand order
+        check_norm_deficit(window, psi, times[lo : lo + block])
         yield psi
 
 

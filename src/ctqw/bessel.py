@@ -73,6 +73,7 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
     block = max(1, _BLOCK_ELEMENTS // max(z.size, 1))
     subtract = np.subtract  # called with a positional out, which costs less per call
     bound = _TINY  # >= |J_n| and |J_{n+1}| in every column
+    rescaled = [(n_max + 1,) * 3] * z.size  # each column's last three rescale orders, oldest first
     for hi in range(top, 0, -block):
         lo = max(hi - block, 0)
         # 2n/z for a block of orders, each rounded as a division alone would
@@ -96,8 +97,11 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
                 else:
                     while big.any():
                         np.multiply(state, _RESCALE, out=state, where=big)
-                        if n <= n_max:  # only rows n..n_max are written yet; the rest are +0.0
-                            out[n:, big] *= _RESCALE
+                        # three rescales leave any double +-0: rows from the third-last one on stay
+                        for c in big.nonzero()[0].tolist():
+                            third, second, last = rescaled[c]
+                            out[n:third, c] *= _RESCALE
+                            rescaled[c] = second, last, n
                         big = np.abs(jn) > limit
             subtract(mult * jn, jnp1, jnp1)  # J_{n-1}
             jn, jnp1 = jnp1, jn
@@ -108,8 +112,7 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
     out /= jn + 2.0 * even_sum
     out[:, tiny] = 0.0
     out[0, tiny] = 1.0
-    if n_max >= 1:
-        out[1, tiny] = z[tiny] / 2.0
+    out[1:2, tiny] = z[tiny] / 2.0  # J_1, when n_max >= 1
     return (out[:, :1] if lone else out).reshape((n_max + 1,) + shape)
 
 

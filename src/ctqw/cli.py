@@ -44,18 +44,18 @@ from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 LIMITS = {
     "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
     # times x window sites, 512 MiB of complex; observables makes it in blocks, so at
-    # the limit it peaks at 161 MiB RSS (analytic: its Bessel rows), 32 spectral, 50 ode
+    # the limit it peaks at 160 MiB RSS (analytic: its Bessel rows), 32 spectral, 50 ode
     "amplitudes": 2**25,
-    # Bessel recurrence, start order x times: 21-40 ns each at 200-10^5 times and
-    # 2.6 us an order at one; sites caps the order near 10^6, so the limit needs
-    # 10^3 or more times, at 6-12 ns each.
+    # Bessel recurrence, start order x times: 21-40 ns each at 200-10^5 times, 110-140 at
+    # 150 far above 2*gamma*t; 2.6 us an order at one, 8.5 us at 16 far above (10^6 sites:
+    # 9 s). sites caps the order near 10^6, so the limit needs 10^3+ times, at 6-12 ns each.
     "order-columns": 10**9,
     "FFT points": 3 * 10**8,  # spectral, ring sites x (1 + times): 54-74 ns each
     "site-steps": 1e9,  # RK4, steps x window sites x rows: 20-40 ns each
     "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each
     "rows": 10**6,  # of a time-grid or sweep table: 2-22 us each
 }
-BLOCK_AMPLITUDES = 2**15  # the most that observables holds at once: 0.5 MiB of complex
+BLOCK_AMPLITUDES = 2**14  # the most that observables holds at once: 0.25 MiB of complex
 
 
 class ConfigError(Exception):

@@ -20,16 +20,15 @@ _NORM_REJECT = 1e-10
 
 
 def check_norm_deficit(window: "LatticeWindow", amplitudes: np.ndarray, times, norm=1.0) -> None:
-    """Reject a (times x sites) matrix if any row's squared norm fell short of
-    ``norm`` (the initial state's) off the window; the error names the first
-    such time."""
-    deficit = np.abs(np.sum(np.abs(amplitudes) ** 2, axis=1) - norm)
-    leaks = np.flatnonzero(deficit > _NORM_REJECT)
+    """Reject a (times x sites) or (times x points x sites) array if any row's squared
+    norm fell short of ``norm`` (the initial state's) off the window; the error names
+    the first such time."""
+    deficit = np.abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - norm)
+    leaks = np.argwhere(deficit > _NORM_REJECT)  # in time order
     if leaks.size:
-        i = leaks[0]
-        raise UndersizedGridError(
-            f"window half_width={window.half_width} leaks norm {deficit[i]:.3e} at t={times[i]}"
-        )
+        i = tuple(leaks[0])
+        raise UndersizedGridError(f"window half_width={window.half_width} leaks norm "
+                                  f"{deficit[i]:.3e} at t={times[i[0]]}")
 
 
 class NumericalValidationError(RuntimeError):

@@ -84,7 +84,7 @@ def spectral_blocks(params: WalkParams, ring: RingSpec, window: LatticeWindow, t
     """spectral_amplitudes in time order, in blocks of at most ``block`` times, each
     norm-checked; the ring check and the forward FFT are made once for all of them."""
     times = np.asarray(times, dtype=float)
-    ring.validate_for(params, float(times[np.argmax(np.abs(times))]))  # the farthest time
+    ring.validate_for(params, float(times[np.argmax(np.abs(times))]) if times.size else 0.0)
     if window.n_sites > ring.size:
         raise UndersizedGridError("observation window larger than the ring")
 
@@ -99,7 +99,7 @@ def spectral_blocks(params: WalkParams, ring: RingSpec, window: LatticeWindow, t
     k = 2.0 * math.pi * np.arange(ring.size) / ring.size
     cosk = np.cos(band_phase(params.alpha) - k)
     psi_k, norm = np.fft.fft(psi0), np.sum(np.abs(psi0) ** 2)  # the norm it keeps
-    for lo in range(0, times.size, block):
+    for lo in range(0, max(times.size, 1), block):  # an empty grid is one empty block
         amps = np.empty((min(block, times.size - lo), window.n_sites), dtype=complex)
         for i, t in enumerate(times[lo : lo + block]):
             amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]

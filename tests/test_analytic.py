@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from ctqw import (
     survival_exact_batch,
     window_for,
 )
+from ctqw.analytic import analytic_blocks
 from ctqw.bessel import bessel_row
 
 PI = math.pi
@@ -108,6 +110,11 @@ class TestWavefunction:
     def test_time_vector_names_first_undersized_time(self):
         with pytest.raises(UndersizedGridError, match=r"at t=20\.0$"):
             analytic_amplitudes(WalkParams(), LatticeWindow(10), [1.0, 20.0, 0.0, 30.0])
+        # D = 1 leaks from gamma*t = 1.46 on, D = 0 from 1.71: the batch names the
+        # first leaking time over all its points
+        points = [WalkParams(), WalkParams(delocalization=1.0)]
+        with pytest.raises(UndersizedGridError, match=r"at t=1\.6$"):
+            analytic_amplitudes_batch(points, LatticeWindow(10), [1.0, 1.6, 2.0])
         with pytest.raises(ValueError, match="got -1.0"):
             analytic_amplitudes(WalkParams(), LatticeWindow(50), [1.0, -1.0, 2.0])
 
@@ -189,6 +196,29 @@ class TestBatch:
             assert curves.shape == (len(self.POINTS),) + times.shape
             for curve, params in zip(curves, self.POINTS):
                 assert curve.tobytes() == survival_exact(params, times).tobytes()
+
+    # sha256 of the whole (times, points, sites) array, for three points over the
+    # series grid to t=500 and over 1000 tiny times on the smallest window. Table
+    # pins pass through reductions that can hide a 1-ulp change in one amplitude.
+    PINNED = [WalkParams(alpha=0.0, delocalization=0.0),
+              WalkParams(alpha=PI / 6, delocalization=0.3),
+              WalkParams(alpha=PI / 2, delocalization=1.0)]
+
+    @pytest.mark.parametrize("window, times, digest", [
+        (window_for(WalkParams(), 500.0), np.linspace(0.0, 500.0, 201),
+         "ae491ae1117ce6b696b192faacf502a1f19b0f7361533fcdd5358322d9266f67"),
+        (LatticeWindow(1), np.linspace(0.0, 1e-6, 1000),
+         "ed0bb761092b6de29c7274be28ac605529c3952dcfab34dc2564cc21429337d4"),
+    ], ids=["series", "tiny"])
+    def test_amplitude_bytes_are_pinned_in_any_blocks(self, window, times, digest):
+        whole = analytic_amplitudes_batch(self.PINNED, window, times)
+        assert hashlib.sha256(whole.tobytes()).hexdigest() == digest
+        for block in (1, 2, 5, times.size):
+            blocks = list(analytic_blocks(self.PINNED, window, times, block))
+            assert len(blocks) == -(-times.size // block)
+            # row sums of another layout round differently
+            assert all(b.flags.c_contiguous for b in blocks)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), block
 
     @pytest.mark.parametrize("points", [[WalkParams(gamma=1.0), WalkParams(gamma=2.0)], []])
     def test_batch_needs_one_gamma(self, points):

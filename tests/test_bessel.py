@@ -152,6 +152,20 @@ def test_drawn_columns_equal_the_scalar_loop_bit_for_bit(zs, n_max):
         assert np.array_equal(own[:, i], bessel_row_loop(z, n_max)), (z, n_max)
 
 
+# n_max far above z: 2n/z reaches 1e4, so a column rescales every few dozen
+# orders below n_max and its early rows see three or more rescales, after
+# which they are exactly +-0.
+@pytest.mark.parametrize("zs", [[0.5, 3.0, 20.0], [20.0], [0.5]])
+def test_deep_rescaled_columns_equal_the_scalar_loop_bit_for_bit(zs):
+    zs, n_max = np.array(zs), 3000
+    shared = bessel_rows(zs, n_max)
+    own = bessel_row_batch(zs, n_max)
+    start = start_order(float(zs.max()), n_max)
+    for i, z in enumerate(zs):
+        assert np.array_equal(shared[:, i], bessel_row_loop(z, n_max, start)), z
+        assert np.array_equal(own[:, i], bessel_row_loop(z, n_max)), z
+
+
 def _smoothing_grid():
     """The 2-D shared-start grid that smoothed_survival passes for criterion 6's times."""
     gamma = WalkParams().gamma

@@ -135,6 +135,12 @@ class TestSpectralAmplitudes:
         with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=10\.0$"):
             spectral_amplitudes(params, ring, window, [0.1, 10.0, 0.0, 20.0])
 
+    def test_empty_time_grid_is_one_empty_block(self):
+        params, window = WalkParams(delocalization=0.5), LatticeWindow(5)
+        amps = spectral_amplitudes(params, RingSpec(64), window, [])
+        assert amps.shape == (0, window.n_sites)
+        assert amps.shape == analytic_amplitudes(params, window, []).shape
+
     def test_undersized_ring_names_the_farthest_time(self):
         with pytest.raises(UndersizedGridError, match=r"at t=-50\.0 "):
             spectral_amplitudes(WalkParams(), RingSpec(64), LatticeWindow(5), [0.0, -50.0, 5.0])
