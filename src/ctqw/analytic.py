@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bessel import bessel_row_batch, bessel_rows
-from .model import LatticeWindow, WalkParams, check_norm_deficit
+from .model import LatticeWindow, WalkParams, band_phase, check_norm_deficit
 
 
 def _batch_args(points: Sequence[WalkParams], times):
@@ -45,8 +45,8 @@ def analytic_blocks(points: Sequence[WalkParams], window: LatticeWindow, times, 
     # and i^|x| by |x| mod 4: exact phases, no complex exponentiation
     orders = np.abs(np.arange(-window.half_width - 1, window.half_width + 2))
     i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])[orders % 4]
-    # each point's phase, centre and side weights, and hops, one point a row, made once
-    alpha, d = np.array([(p.alpha, p.delocalization) for p in points]).T[..., None]
+    # each point's phase (alpha by band_phase), weights and hops, one point a row, made once
+    alpha, d = np.array([(band_phase(p.alpha), p.delocalization) for p in points]).T[..., None]
     phase = np.exp(1j * alpha * window.sites())
     centre, side = np.sqrt(1.0 - d), np.sqrt(d / 2.0)
     hop_right, hop_left = np.exp(1j * alpha), np.exp(-1j * alpha)

@@ -53,7 +53,7 @@ LIMITS = {
     "FFT points": 3 * 10**8,  # spectral, ring sites x (1 + times): 54-74 ns each
     "site-steps": 1e9,  # RK4, steps x window sites x rows: 20-40 ns each
     "steps": 1e6,  # RK4 steps, whose fixed cost rules on a small window: about 24 us each
-    "rows": 10**6,  # of a time-grid or sweep table: 2-22 us each
+    "rows": 10**6,  # of a time-grid or sweep table: 2-3 us each, sweep 6.5 (CSV or JSON)
 }
 BLOCK_AMPLITUDES = 2**14  # the most that observables holds at once: 0.25 MiB of complex
 
@@ -316,16 +316,14 @@ def _emit(args, tag, header, rows):
     emit_table(path, args.format, header, rows)
 
 
-_WAVEFUNCTION_HEADER = ["x", "prob", "re_psi", "im_psi"]
+def _wavefunction_panel(tag, window, amps):
+    cols = window.sites(), np.abs(amps) ** 2, amps.real, amps.imag
+    return tag, ["x", "prob", "re_psi", "im_psi"], np.column_stack(cols)
 
 
-def _wavefunction_rows(window, amps):
-    return list(zip(window.sites(), np.abs(amps) ** 2, amps.real, amps.imag))
-
-
-# Each builder yields its panels as (tag or None, header, rows).
+# Each builder yields its panels as (tag or None, header, rows), rows one float64 array.
 def _wavefunction(args, run):
-    yield None, _WAVEFUNCTION_HEADER, _wavefunction_rows(run.window, next(_blocks(run))[0])
+    yield _wavefunction_panel(None, run.window, next(_blocks(run))[0])
 
 
 def _observables(args, run):
@@ -338,12 +336,12 @@ def _observables(args, run):
 
 
 def _survival(args, run):
-    yield None, ["t", "P_surv"], list(zip(run.times, survival_exact(run.params, run.times)))
+    yield None, ["t", "P_surv"], np.column_stack((run.times, survival_exact(run.params, run.times)))
 
 
 def _sweep(args, run):
-    rows = []
-    for v in np.linspace(args.start, args.stop, args.steps):
+    rows = np.empty((args.steps, 4))  # one float64 row per swept value
+    for row, v in zip(rows, np.linspace(args.start, args.stop, args.steps)):
         d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
         params = _spec(WalkParams, gamma=args.gamma, alpha=a, delocalization=d)
         try:  # gamma**2 raises OverflowError; any other overflow leaves inf or nan
@@ -353,7 +351,7 @@ def _sweep(args, run):
             msd = math.inf
         if not math.isfinite(msd):
             raise ConfigError(f"MSD at tmax={args.tmax:g} overflows a double, gamma={args.gamma:g}")
-        rows.append((float(v), mean_velocity(params), crossing_time(params.alpha), msd))
+        row[:] = float(v), mean_velocity(params), crossing_time(params.alpha), msd
     yield None, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows
 
 
@@ -365,16 +363,16 @@ def _fig1():
     points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
     window = window_for(points[0], 50.0)
     for tag, amps in zip(_D_TAGS, analytic_amplitudes_batch(points, window, [50.0])[0]):
-        yield tag, _WAVEFUNCTION_HEADER, _wavefunction_rows(window, amps)
+        yield _wavefunction_panel(tag, window, amps)
 
 
 def _fig2():
     # |<v_g>/gamma| vs D for several phases.
     alphas = [(f"pi{n}", math.pi / n) for n in (6, 4, 3, 2)]
-    rows = [
+    rows = np.array([
         (d, *(abs(mean_velocity(WalkParams(alpha=a, delocalization=d))) for _, a in alphas))
         for d in np.linspace(0.0, 1.0, 201)
-    ]
+    ])
     yield None, ["d"] + [f"absv_a_{n}" for n, _ in alphas], rows
 
 
@@ -385,13 +383,13 @@ def _fig3():
     cols = [msd_closed_form(WalkParams(alpha=a, delocalization=d), ts) for a, d in combos]
     header = ["t", "msd_a0_d0", "msd_a0_d05", "msd_a0_d1",
               "msd_api2_d0", "msd_api2_d05", "msd_api2_d1"]
-    yield None, header, list(zip(ts, *cols))
+    yield None, header, np.column_stack((ts, *cols))
 
 
 def _fig4():
     # Crossing time vs phase over [0, pi], step pi/200.
     alphas = np.arange(201) * (math.pi / 200.0)
-    yield None, ["alpha", "t_cross"], [(float(a), crossing_time(float(a))) for a in alphas]
+    yield None, ["alpha", "t_cross"], np.array([(a, crossing_time(a)) for a in alphas.tolist()])
 
 
 def _fig5():
@@ -400,7 +398,7 @@ def _fig5():
     points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
     for tag, params, exact in zip(_D_TAGS, points, survival_exact_batch(points, ts)):
         asym = survival_asymptotic(params, ts)
-        yield tag, ["t", "P_surv_exact", "P_asymptotic"], list(zip(ts, exact, asym))
+        yield tag, ["t", "P_surv_exact", "P_asymptotic"], np.column_stack((ts, exact, asym))
 
 
 FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}

@@ -589,7 +589,8 @@ def test_observables_in_blocks_equal_the_whole_matrix(tmp_path, monkeypatch, sou
     times = (np.geomspace if spacing == "log" else np.linspace)(tmin, 2.0, npoints)
     whole = observables_from_amplitudes(window, _whole_matrix(source, window, times))
     expected = io.StringIO()
-    tables.WRITERS[fmt](expected, ["t", "mean_x", "msd", "survival"], list(zip(times, *whole)))
+    tables.WRITERS[fmt](expected, ["t", "mean_x", "msd", "survival"],
+                        np.column_stack((times, *whole)))
     assert out.read_bytes() == expected.getvalue().encode()
 
 
@@ -635,10 +636,31 @@ def test_observables_memory_is_bounded_by_its_blocks(tmp_path, source, flags, sh
     counted = plan(build_parser().parse_args(argv))
     matrix = 16 * counted.counts["amplitudes"]  # bytes of the whole complex matrix
     assert matrix >= 32 * 2**20
-    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    assert _traced_peak(argv) < matrix / share
+
+
+def _traced_peak(argv):
+    """The peak of the memory traced while main runs argv; numpy reports its buffers."""
+    tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < matrix / share
+
+
+@pytest.mark.parametrize("argv", [
+    ["survival", "--tmax", "5", "--npoints", "200000"],
+    ["observables", "--half-width", "1", "--tmax", "1e-6", "--npoints", "30000"],
+], ids=["survival", "observables"])
+def test_json_tables_peak_no_higher_than_csv(tmp_path, argv):
+    # both writers stream the table's one float64 array; neither builds a document of it
+    peaks = {fmt: _traced_peak(argv + ["--format", fmt, "--out", str(tmp_path / f"t.{fmt}")])
+             for fmt in ("csv", "json")}
+    assert peaks["json"] <= 1.25 * peaks["csv"]
+
+
+def test_sweep_memory_is_about_100_bytes_a_row(tmp_path):
+    steps = 30_000  # its float64 array takes 32 bytes a row
+    peak = _traced_peak(["sweep", "--steps", str(steps), "--out", str(tmp_path / "s.csv")])
+    assert peak <= 100 * steps

@@ -199,6 +199,32 @@ def test_every_wavefunction_table_obeys_the_closed_form_laws(drawn):
     assert np.all(np.abs(prob - (re**2 + im**2)) <= 1e-15 * prob), argv
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gamma=st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]),
+    alpha=st.sampled_from([4.0, 123456789.123, 3.3e11 + 0.7, 1.7e15 + 3.0]).flatmap(
+        lambda a: st.sampled_from([a, -a])),
+    d=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    gt=st.sampled_from([0.5, 2.0]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_source_prints_the_same_amplitudes_past_pi(gamma, alpha, d, gt, fmt):
+    tables = {}
+    for source in ("analytic", "spectral", "ode"):
+        argv = ["wavefunction", "--source", source, "--gamma", repr(gamma), "--alpha",
+                repr(alpha), "--dparam", repr(d), "--tmax", repr(gt / gamma), "--format", fmt]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0, argv
+        tables[source] = _table(stdout.getvalue(), fmt)[1]
+    # one window, and re_psi and im_psi within the oracles' own agreement, at any |alpha|
+    exact = tables["analytic"]
+    for source in ("spectral", "ode"):
+        assert np.array_equal(tables[source][:, 0], exact[:, 0]), (source, alpha)
+        assert np.abs(tables[source][:, 2:] - exact[:, 2:]).max() <= 1e-9, (source, alpha)
+
+
 def _table(text, fmt):
     """(header, float rows) of a CSV or JSON table written to stdout."""
     if fmt == "json":

@@ -38,11 +38,9 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
-# small phases, and phases past pi up to the largest that WalkParams admits
-PHASES = st.one_of(
-    st.floats(-2 * math.pi, 2 * math.pi),
-    _log_uniform(math.pi, 1e300).flatmap(lambda a: st.sampled_from([a, -a])),
-)
+# phases past pi up to the largest that WalkParams admits, and with the small ones, all
+PAST_PI = _log_uniform(math.pi, 1e300).flatmap(lambda a: st.sampled_from([a, -a]))
+PHASES = st.one_of(st.floats(-2 * math.pi, 2 * math.pi), PAST_PI)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -75,3 +73,27 @@ def test_routes_and_closed_forms_agree(gamma, alpha, d, gts):
         assert np.all(np.abs(mean - mean_velocity(params) * times) <= 1e-12 * spread)
         assert np.all(np.abs(msd - msd_law) <= 1e-12 * msd_law + 1e-13)
         assert np.all(np.abs(survival - survival_law) <= 1e-13)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gamma=_log_uniform(1e-3, 1e3),
+    alpha=PAST_PI,
+    d=st.floats(0.0, 1.0),
+    gts=st.lists(_log_uniform(1e-8, 300.0), min_size=1, max_size=4),
+)
+def test_routes_agree_on_amplitudes_past_pi(gamma, alpha, d, gts):
+    # re and im, which |psi|^2 does not see: the phase alpha * x of a full-mantissa alpha
+    # rounds by |alpha x| * 1.1e-16 radians unless alpha is first brought within +-pi
+    params = WalkParams(gamma=gamma, alpha=alpha, delocalization=d)
+    times = np.sort(np.array(gts) / gamma)
+    window = window_for(params, times[-1])
+    exact = analytic_amplitudes(params, window, times)
+
+    spectral = spectral_amplitudes(params, RingSpec.for_run(params, times[-1]), window, times)
+    assert np.abs(spectral - exact).max() < SPECTRAL_TOL
+
+    if gamma * times[-1] <= ODE_MAX_GT:
+        ode = propagate_ode_batch([params], window, OdeSpec.default_for(params), times)[:, 0]
+        assert np.abs(ode - exact).max() < ODE_TOL

@@ -8,6 +8,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,9 +54,10 @@ def bits(f: float) -> bytes:
 @given(tables())
 def test_writers_keep_every_cell(table):
     header, rows = table
+    array = np.array(rows, dtype=float)  # the one table type that both writers take
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        emit_table(path, "csv", header, rows)
+        emit_table(path, "csv", header, array)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(header)
         assert lines[1:] == [",".join(per_cell_text(v) for v in row) for row in rows]
@@ -65,8 +67,13 @@ def test_writers_keep_every_cell(table):
             for v, b in zip(row, back, strict=True):
                 assert math.isnan(b) if math.isnan(v) else bits(b) == bits(float(v))
 
+    def cell(v):  # a float, or a non-finite's text, as in a document dumped whole
+        return float(v) if math.isfinite(v) else "%.17g" % v
+
     fh = io.StringIO()
-    write_json(fh, header, rows)
+    write_json(fh, header, array)
+    whole = {"columns": header, "rows": [[cell(v) for v in row] for row in rows]}
+    assert fh.getvalue() == json.dumps(whole, indent=1) + "\n"
     doc = json.loads(fh.getvalue())
     assert doc["columns"] == header
     for row, back in zip(rows, doc["rows"], strict=True):
