@@ -279,12 +279,11 @@ def plan(args) -> Plan:
             run.count("FFT points", size * (1 + n_times),
                       f"{n_times} times on a ring of {size} sites need")
         else:
-            run.points = [run.params]
             run.ode = (OdeSpec.default_for(run.params) if args.step is None
                        else _spec(OdeSpec, step=args.step))
     if run.ode is not None:
         steps = -(-t // run.ode.step)  # a float: a tiny step gives inf
-        sites, rows = run.window.n_sites, len(run.points)
+        sites, rows = run.window.n_sites, len(run.points) or 1  # the triangle's, or the run's one
         rk4 = f"RK4 to t={t:g} at step {run.ode.step:g}"
         on = f"{sites} sites" + (f" x {rows} rows" if rows > 1 else "")
         run.count("site-steps", steps * sites * rows, f"{rk4} on {on} needs")
@@ -297,11 +296,10 @@ def plan(args) -> Plan:
 
 def _blocks(run):
     """The plan's (times x sites) amplitudes by its route, BLOCK_AMPLITUDES at a time."""
-    size = max(1, BLOCK_AMPLITUDES // run.window.n_sites)
-    if run.ring is not None:
-        return spectral_blocks(run.params, run.ring, run.window, run.times, size)
-    blocks = (analytic_blocks([run.params], run.window, run.times, size) if run.ode is None
-              else propagate_ode_blocks(run.points, run.window, run.ode, run.times, size))
+    size, points = max(1, BLOCK_AMPLITUDES // run.window.n_sites), [run.params]
+    blocks = (spectral_blocks(points, run.ring, run.window, run.times, size) if run.ring
+              else analytic_blocks(points, run.window, run.times, size) if run.ode is None
+              else propagate_ode_blocks(points, run.window, run.ode, run.times, size))
     return (amps[:, 0] for amps in blocks)  # of the one point
 
 

@@ -4,7 +4,7 @@ Two routes that share nothing with the Bessel evaluation:
 
 * spectral: FFT to momentum space, multiply by exp(i 2 gamma t cos(alpha-k)),
   FFT back; exact on a ring large enough that no wrap-around reaches the
-  observation window.  One call evaluates a whole time vector.
+  observation window.  One call evaluates a time vector for several points.
 * ode: fixed-step classical RK4 on the truncated chain,
   d psi_x / dt = i gamma (e^{i alpha} psi_{x-1} + e^{-i alpha} psi_{x+1}).
   The integrator is batched and checkpointed: its state holds sites on
@@ -79,30 +79,29 @@ class OdeSpec:
         return cls(step=1e-3 / params.gamma)
 
 
-def spectral_blocks(params: WalkParams, ring: RingSpec, window: LatticeWindow, times,
+def spectral_blocks(points: Sequence[WalkParams], ring: RingSpec, window: LatticeWindow, times,
                     block: int, initial: Optional[np.ndarray] = None):
-    """spectral_amplitudes in time order, in blocks of at most ``block`` times, each
-    norm-checked; the ring check and the forward FFT are made once for all of them."""
+    """Each point's amplitudes on the window in time order, in norm-checked blocks of at
+    most ``block`` times, shape (times, len(points), n_sites). One ring check and one
+    (points x ring) forward FFT, then one inverse FFT per time along the ring axis.
+    ``initial``: amplitudes of any norm, (points x sites) or one row for every point."""
     times = np.asarray(times, dtype=float)
-    ring.validate_for(params, float(times[np.argmax(np.abs(times))]) if times.size else 0.0)
+    far = float(times[np.argmax(np.abs(times))]) if times.size else 0.0
+    ring.validate_for(max(points, key=lambda p: p.gamma), far)  # the widest light cone
     if window.n_sites > ring.size:
         raise UndersizedGridError("observation window larger than the ring")
 
-    if initial is None:
-        initial = initial_state_position(params, window)
-    if np.shape(initial) != (window.n_sites,):
-        raise ValueError(f"initial amplitudes must have the window's shape ({window.n_sites},)")
     on_ring = window.sites() % ring.size
-    psi0 = np.zeros(ring.size, dtype=complex)
-    psi0[on_ring] = initial
-
-    k = 2.0 * math.pi * np.arange(ring.size) / ring.size
-    cosk = np.cos(band_phase(params.alpha) - k)
-    psi_k, norm = np.fft.fft(psi0), np.sum(np.abs(psi0) ** 2)  # the norm it keeps
+    psi0 = np.zeros((len(points), ring.size), dtype=complex)
+    psi0[:, on_ring] = ([initial_state_position(p, window) for p in points] if initial is None
+                        else initial)
+    gamma, alpha = np.array([(p.gamma, band_phase(p.alpha)) for p in points]).T[..., None]
+    cosk = np.cos(alpha - 2.0 * math.pi * np.arange(ring.size) / ring.size)  # cos(alpha - k)
+    psi_k, norm = np.fft.fft(psi0), np.sum(np.abs(psi0) ** 2, axis=1)  # the norms they keep
     for lo in range(0, max(times.size, 1), block):  # an empty grid is one empty block
-        amps = np.empty((min(block, times.size - lo), window.n_sites), dtype=complex)
+        amps = np.empty((min(block, times.size - lo), len(points), window.n_sites), dtype=complex)
         for i, t in enumerate(times[lo : lo + block]):
-            amps[i] = np.fft.ifft(psi_k * np.exp(2j * params.gamma * t * cosk))[on_ring]
+            amps[i] = np.fft.ifft(psi_k * np.exp(2j * gamma * t * cosk))[:, on_ring]
         check_norm_deficit(window, amps, times[lo:], norm)  # names the block's first leak
         yield amps
 
@@ -112,8 +111,10 @@ def spectral_amplitudes(params: WalkParams, ring: RingSpec, window: LatticeWindo
     """Amplitudes on the window at each time, shape (len(times), n_sites), by
     diagonalizing in momentum space; exactly unitary. Evolves the three-site
     initial state, or ``initial`` amplitudes of any norm on the window; negative
-    times run backwards (time-reversal checks). Each time takes one inverse FFT."""
-    return next(spectral_blocks(params, ring, window, times, max(np.size(times), 1), initial))
+    times run backwards (time-reversal checks). spectral_blocks of one point, in one block."""
+    if initial is not None and np.shape(initial) != (window.n_sites,):
+        raise ValueError(f"initial amplitudes must have the window's shape ({window.n_sites},)")
+    return next(spectral_blocks([params], ring, window, times, np.size(times) or 1, initial))[:, 0]
 
 
 def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, ode: OdeSpec,
@@ -159,6 +160,7 @@ def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, od
     # each stage's k, its float64 view and its source's shifted views, built once
     stages = [(k, k.view(float), src[:-2], src[2:])
               for k, src in ((k1, psi_g), (k2, tmp_g), (k3, tmp_g), (k4, tmp_g))]
+    mul, add = np.multiply, np.add  # local names: a step makes 24 of these calls
     for i, (t_prev, t) in enumerate(zip(np.append(0.0, times[:-1]), times)):
         if i % block == 0:
             snapshots = np.empty((min(block, times.size - i),) + psi.T.shape, dtype=complex)
@@ -168,22 +170,23 @@ def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, od
         # n_full steps of ode.step, then at most one shortened step; 0-d scalars convert once
         for h, n in ((ode.step, n_full), (last, int(last > 1e-15 * max(gap, 1.0)))):
             half, whole, sixth = (np.array(x) for x in (0.5 * h, h, h / 6.0))
+            staged = list(zip(stages, (half, half, whole, None)))  # each stage's c, per step size
             for _ in range(n):
-                for (k, k_f, src_lo, src_hi), c in zip(stages, (half, half, whole, None)):
+                for (k, k_f, src_lo, src_hi), c in staged:
                     # k = hop_left * src[x-1] + hop_right * src[x+1], the ghosts zero
-                    np.multiply(hop_left, src_lo, k)
-                    np.multiply(hop_right, src_hi, spill)
-                    np.add(k, spill, k)
+                    mul(hop_left, src_lo, k)
+                    mul(hop_right, src_hi, spill)
+                    add(k, spill, k)
                     if c is not None:  # the next stage's source: psi + c * k
-                        np.multiply(k_f, c, tmp_f)  # real c on both parts: c + 0j's bits
-                        np.add(tmp, psi, tmp)
+                        mul(k_f, c, tmp_f)  # real c on both parts: c + 0j's bits
+                        add(tmp, psi, tmp)
                 # psi += h/6 (k1 + 2 (k2 + k3) + k4), in the plain expression's order
-                np.add(k2, k3, acc)
-                np.add(acc, acc, acc)
-                np.add(k1, acc, acc)
-                np.add(acc, k4, acc)
-                np.multiply(acc_f, sixth, acc_f)
-                np.add(psi, acc, psi)
+                add(k2, k3, acc)
+                add(acc, acc, acc)
+                add(k1, acc, acc)
+                add(acc, k4, acc)
+                mul(acc_f, sixth, acc_f)
+                add(psi, acc, psi)
         snapshots[i % block] = psi.T
         check_rows(snapshots[i % block], params, t, 0, window.n_sites - 1)
         if i % block == len(snapshots) - 1:

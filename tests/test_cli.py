@@ -511,6 +511,18 @@ def test_validate_runs_the_rk4_pass_its_plan_counted(monkeypatch):
                               "steps": 5000}
 
 
+def test_validate_makes_one_spectral_call_per_time(monkeypatch):
+    calls, real_blocks = [], validate.spectral_blocks
+
+    def spy_blocks(points, ring, window, times, block):
+        calls.append((len(points), list(times)))
+        return real_blocks(points, ring, window, times, block)
+
+    monkeypatch.setattr(validate, "spectral_blocks", spy_blocks)
+    assert run("validate", "--quick") == 0
+    assert calls == [(16, [1.0]), (16, [5.0])]  # all 16 points at once, per quick time
+
+
 @pytest.mark.parametrize("argv", [
     ["observables", "--source", "spectral", "--half-width", "5", "--tmax", "20", "--npoints", "3"],
     ["wavefunction", "--source", "spectral", "--half-width", "5", "--tmax", "20"],

@@ -155,6 +155,50 @@ class TestSpectralAmplitudes:
         assert np.abs(p_spec - p_exact).max() < SPECTRAL_TOL
 
 
+class TestSpectralBlocks:
+    # sha256 of the (times, points, sites) stack of one-point runs, for four points (one
+    # past pi) over a grid with t = 0 and a negative time on a 128-site ring, and over the
+    # series grid to t=500, led by t=-3, on a 4096-site ring. Table pins pass through
+    # reductions that can hide a 1-ulp change in one amplitude.
+    PINNED = [WalkParams(alpha=0.0, delocalization=0.0),
+              WalkParams(alpha=PI / 6, delocalization=0.3),
+              WalkParams(alpha=PI / 2, delocalization=1.0),
+              WalkParams(alpha=-7.5, delocalization=0.5)]
+
+    @pytest.mark.parametrize("ring, window, times, digest", [
+        (RingSpec(128), window_for(WalkParams(), 10.0), np.array([0.0, -4.0, 1.5, 10.0, 0.25]),
+         "f43359ac6287034a4fb6b1299f9be811261fc04515826e07be8098d6ce6d67d0"),
+        (RingSpec(4096), window_for(WalkParams(), 500.0),
+         np.append(-3.0, np.linspace(0.0, 500.0, 201)),
+         "3a0b3b152df97087e03296aad958d9229f2c4745c0cb7bb14504a6189ff10435"),
+    ], ids=["ring128", "ring4096"])
+    def test_amplitude_bytes_are_pinned(self, ring, window, times, digest):
+        whole = np.stack([spectral_amplitudes(p, ring, window, times) for p in self.PINNED], axis=1)
+        assert hashlib.sha256(whole.tobytes()).hexdigest() == digest
+
+    def test_points_equal_one_point_runs_bit_for_bit_in_any_blocks(self):
+        points = [WalkParams(alpha=0.3, delocalization=0.2),
+                  WalkParams(gamma=1.7, alpha=-7.5, delocalization=1.0),
+                  WalkParams(gamma=0.6, alpha=PI / 2, delocalization=0.5)]
+        ring, window = RingSpec(256), window_for(points[1], 6.0)
+        times = np.array([0.0, 2.5, -1.0, 6.0, 0.125])
+        ones = np.stack([spectral_amplitudes(p, ring, window, times) for p in points], axis=1)
+        assert ones.shape == (times.size, len(points), window.n_sites)
+        for block in (1, 2, times.size):
+            blocks = list(propagators.spectral_blocks(points, ring, window, times, block))
+            assert len(blocks) == -(-times.size // block)
+            assert all(b.flags.c_contiguous for b in blocks)
+            assert np.concatenate(blocks).tobytes() == ones.tobytes(), block
+        (empty,) = propagators.spectral_blocks(points, ring, window, [], 2)
+        assert empty.shape == (0, len(points), window.n_sites)
+
+    def test_ring_check_takes_the_fastest_point(self):
+        points = [WalkParams(), WalkParams(gamma=2.0)]
+        RingSpec(128).validate_for(points[0], 10.0)
+        with pytest.raises(UndersizedGridError, match=r"at t=10\.0 "):
+            next(propagators.spectral_blocks(points, RingSpec(128), LatticeWindow(5), [10.0], 1))
+
+
 class TestOde:
     def test_identity_at_time_zero(self):
         params = WalkParams(alpha=1.0, delocalization=0.3)
