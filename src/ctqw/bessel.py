@@ -53,7 +53,7 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
     if lone:
         z = np.repeat(z, 2)
     if shared_start:
-        starts = np.full(z.size, start_order(float(z.max(initial=0.0)), n_max))
+        starts = np.broadcast_to(start_order(float(z.max(initial=0.0)), n_max), z.size)
     else:
         starts = np.array([start_order(float(x), n_max) for x in z], dtype=int)
 
@@ -73,7 +73,7 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
     block = max(1, _BLOCK_ELEMENTS // max(z.size, 1))
     subtract = np.subtract  # called with a positional out, which costs less per call
     bound = _TINY  # >= |J_n| and |J_{n+1}| in every column
-    rescaled = [(n_max + 1,) * 3] * z.size  # each column's last three rescale orders, oldest first
+    rescaled = {}  # the last three rescale orders of each column that rescaled, oldest first
     for hi in range(top, 0, -block):
         lo = max(hi - block, 0)
         # 2n/z for a block of orders, each rounded as a division alone would
@@ -99,7 +99,7 @@ def _miller(z, n_max: int, shared_start: bool) -> np.ndarray:
                         np.multiply(state, _RESCALE, out=state, where=big)
                         # three rescales leave any double +-0: rows from the third-last one on stay
                         for c in big.nonzero()[0].tolist():
-                            third, second, last = rescaled[c]
+                            third, second, last = rescaled.get(c, (n_max + 1,) * 3)
                             out[n:third, c] *= _RESCALE
                             rescaled[c] = second, last, n
                         big = np.abs(jn) > limit

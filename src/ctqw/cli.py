@@ -73,11 +73,12 @@ def _finite(text):
     return value
 
 
-def _add_common(parser):
+def _add_common(parser, walk=True):
     parser.add_argument("--config", help="flat key=value file; flags override it")
-    parser.add_argument("--gamma", type=_finite, default=1.0, help="hopping rate (>0)")
-    parser.add_argument("--alpha", type=_finite, default=0.0, help="hopping phase (radians)")
-    parser.add_argument("--dparam", type=_finite, default=0.0, help="delocalization D in [0,1]")
+    if walk:  # a figure fixes its own walks
+        parser.add_argument("--gamma", type=_finite, default=1.0, help="hopping rate (>0)")
+        parser.add_argument("--alpha", type=_finite, default=0.0, help="hopping phase (radians)")
+        parser.add_argument("--dparam", type=_finite, default=0.0, help="delocalization D in [0,1]")
     parser.add_argument("--out", help="output path (default: stdout for single tables)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -133,7 +134,7 @@ def build_parser():
 
     p = sub.add_parser("figure", help="emit the data behind one of the five figures")
     p.add_argument("figure_id", choices=FIGURES)
-    _add_common(p)
+    _add_common(p, walk=False)
 
     p = sub.add_parser("validate", help="closed form vs spectral and RK4 propagation")
     p.add_argument("--config", help="flat key=value file; flags override it")
@@ -228,6 +229,9 @@ def plan(args) -> Plan:
         raise ConfigError("figure requires --out naming a file (panel files derive from it)")
     if command in ("sweep", "figure"):
         return run
+    for flag, source in (("--ring-size", "spectral"), ("--step", "ode")):  # one source's sizing
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None and args.source != source:
+            raise ConfigError(f"{flag} sizes --source {source} only, not {args.source}")
     run.params = _spec(WalkParams, gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
                        delocalization=getattr(args, "dparam", 0.0))
     if command == "validate":
@@ -252,14 +256,14 @@ def plan(args) -> Plan:
     reach = light_cone_half_width(args.gamma, t) if front <= LIMITS["sites"] else front
     run.count("sites", reach, f"t={t:g} at gamma={args.gamma:g} needs a window half width of")
     if command == "validate":  # every grid point runs on the last time's window
-        run.points, run.window, run.ode = triangle_plan(run.times, gamma=args.gamma)
+        run.points, run.window, run.ode, run.times = triangle_plan(run.times, gamma=args.gamma)
     else:
         n_times = 1 if command == "wavefunction" else args.npoints
         n_max = 2  # survival needs J_0..J_2 only
         if command != "survival":
             if args.half_width is not None:
                 run.count("sites", args.half_width, "--half-width asks for")
-            if args.source == "spectral" and args.ring_size is not None:
+            if args.ring_size is not None:
                 run.count("sites", args.ring_size, "--ring-size asks for")
             run.window = (window_for(run.params, t) if args.half_width is None
                           else _spec(LatticeWindow, args.half_width))
@@ -406,7 +410,7 @@ TABLES = {"wavefunction": _wavefunction, "observables": _observables, "survival"
 
 
 def cmd_validate(args, run):
-    results = oracle_triangle(times=run.times, gamma=run.params.gamma)
+    results = oracle_triangle(run.points, run.window, run.ode, run.times)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"

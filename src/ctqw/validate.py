@@ -31,46 +31,41 @@ class CheckResult:
 
 
 def triangle_plan(
-    times: Sequence[float],
-    d_values: Sequence[float] = GRID_D,
-    alphas: Sequence[float] = GRID_ALPHA,
-    gamma: float = 1.0,
-) -> Tuple[List[WalkParams], LatticeWindow, OdeSpec]:
-    """The triangle's (D, alpha) points, and the window and step of its one
-    RK4 pass over all of them: the latest time's window, the default step."""
-    points = [WalkParams(gamma=gamma, alpha=a, delocalization=d) for d in d_values for a in alphas]
-    base = WalkParams(gamma=gamma)
-    return points, window_for(base, max(times)), OdeSpec.default_for(base)
-
-
-def oracle_triangle(
     times: Sequence[float] = GRID_T,
     d_values: Sequence[float] = GRID_D,
     alphas: Sequence[float] = GRID_ALPHA,
     gamma: float = 1.0,
-) -> List[CheckResult]:
-    """Compare site-wise probabilities from the three routes on a grid.
+) -> Tuple[List[WalkParams], LatticeWindow, OdeSpec, Sequence[float]]:
+    """The triangle's (D, alpha) points, the window and step of its one RK4 pass
+    over all of them (the latest time's window, the default step), and its times."""
+    points = [WalkParams(gamma=gamma, alpha=a, delocalization=d) for d in d_values for a in alphas]
+    base = WalkParams(gamma=gamma)
+    return points, window_for(base, max(times)), OdeSpec.default_for(base), times
+
+
+def oracle_triangle(*plan, **grid) -> List[CheckResult]:
+    """Compare site-wise probabilities from the three routes over the triangle_plan
+    given, as in oracle_triangle(*triangle_plan()), or made by triangle_plan(**grid).
 
     Exact vs spectral must agree within 1e-10, exact vs RK4 within 1e-8.
     Each time is compared on its own light-cone window.
     """
-    points, outer, ode = triangle_plan(times, d_values, alphas, gamma)
-    base = WalkParams(gamma=gamma)
+    points, outer, ode, times = plan or triangle_plan(**grid)
     checkpoints = sorted(times)
     ode_amps = dict(zip(checkpoints, propagate_ode_batch(points, outer, ode, checkpoints)))
     results = []
     for t in times:
-        window = window_for(base, t)
+        window = window_for(points[0], t)  # the triangle's points share one gamma
         lo, hi = outer.index(-window.half_width), outer.index(window.half_width)
         # RK4 ran on the latest time's window; each earlier window is checked
         # as a run on it would be
         check_rows(ode_amps[t], points, t, lo, hi)
         exact = np.abs(analytic_amplitudes_batch(points, window, [t])[0]) ** 2
-        spectral = next(spectral_blocks(points, RingSpec.for_run(base, t), window, [t], 1))[0]
+        spectral = next(spectral_blocks(points, RingSpec.for_run(points[0], t), window, [t], 1))[0]
         worst = [abs(exact - np.abs(amps) ** 2).max(axis=1)  # per point; max is exact
                  for amps in (spectral, ode_amps[t][:, lo : hi + 1])]
         for params, *devs in zip(points, *worst):
-            tag = f"D={params.delocalization} alpha={params.alpha:.4f} gt={gamma * t:g}"
+            tag = f"D={params.delocalization} alpha={params.alpha:.4f} gt={params.gamma * t:g}"
             for route, dev, tol in zip(("spectral", "ode"), devs, (SPECTRAL_TOL, ODE_TOL)):
                 results.append(CheckResult(f"exact-vs-{route} {tag}", float(dev), tol))
     return results

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ def test_deep_rescaled_columns_equal_the_scalar_loop_bit_for_bit(zs):
     for i, z in enumerate(zs):
         assert np.array_equal(shared[:, i], bessel_row_loop(z, n_max, start)), z
         assert np.array_equal(own[:, i], bessel_row_loop(z, n_max)), z
+
+
+def test_shared_start_pass_peaks_under_four_results():
+    # survival's J_0..J_2 rows over a long grid: the pass keeps no per-column
+    # start orders or rescale records, only its (3, columns) state and temporaries
+    z = 2.0 * np.linspace(0.0, 50.0, 200_000)
+    tracemalloc.start()
+    try:
+        rows = bessel_rows(z, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rows.nbytes
 
 
 def _smoothing_grid():

@@ -306,6 +306,19 @@ BAD_INPUTS = [
     (None, ["wavefunction", "--source", "spectral", "--tmax", "1", "--ring-size", "2"],
      "ring size must be"),
     ("ring_size = 2", ["observables", "--source", "spectral", *GRID], "ring size must be"),
+    # each figure fixes its own walks, so it takes no walk flag or key
+    *[(None, ["figure", "fig4", flag, "2"], f"unrecognized arguments: {flag} 2")
+      for flag in ("--gamma", "--alpha", "--dparam")],
+    ("gamma = 2", ["figure", "fig4"], "unknown key 'gamma'"),
+    # an override sizes one source; another source would ignore it
+    (None, ["wavefunction", "--step", "0.01", "--tmax", "1"],
+     "--step sizes --source ode only, not analytic"),
+    ("step = 0.01", ["observables", "--source", "spectral", *GRID],
+     "--step sizes --source ode only, not spectral"),
+    (None, ["observables", "--ring-size", "64", *GRID],
+     "--ring-size sizes --source spectral only, not analytic"),
+    ("ring_size = 64", ["wavefunction", "--source", "ode", "--tmax", "1"],
+     "--ring-size sizes --source spectral only, not ode"),
     # negative times, for every source
     (None, ["survival", "--tmin", "-1", *GRID], "tmin must be >= 0"),
     ("tmin = -1", ["survival", *GRID], "tmin must be >= 0"),
@@ -489,21 +502,29 @@ def test_benchmark_jobs_are_within_budget(argv):
 
 
 def test_validate_runs_the_rk4_pass_its_plan_counted(monkeypatch):
-    plans, passes = [], []
+    plans, triangles, passes = [], [], []
     real_plan, real_batch = cli.plan, validate.propagate_ode_batch
+    real_triangle = validate.triangle_plan
 
     def spy_plan(args):
         plans.append(real_plan(args))
         return plans[-1]
+
+    def spy_triangle(*args, **kwargs):
+        triangles.append(args)
+        return real_triangle(*args, **kwargs)
 
     def spy_batch(points, window, ode, times):
         passes.append((len(points), window, ode))
         return real_batch(points, window, ode, times)
 
     monkeypatch.setattr(cli, "plan", spy_plan)
+    monkeypatch.setattr(cli, "triangle_plan", spy_triangle)
+    monkeypatch.setattr(validate, "triangle_plan", spy_triangle)
     monkeypatch.setattr(validate, "propagate_ode_batch", spy_batch)
     assert run("validate", "--quick") == 0
     (counted,), ((rows, window, ode),) = plans, passes  # one plan, one RK4 pass
+    assert triangles == [((1.0, 5.0),)]  # plan's; oracle_triangle runs it and makes none
     assert (rows, window, ode) == (len(counted.points), counted.window, counted.ode)
     assert (rows, window.n_sites, ode.step) == (16, 2 * 50 + 1, 1e-3)
     # 5000 steps of 1e-3 to gt=5, the latest quick time

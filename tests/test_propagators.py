@@ -430,4 +430,4 @@ def test_oracle_triangle_checks_each_time_window(monkeypatch):
 
     monkeypatch.setattr(validate, "window_for", window_for_small_at_t1)
     with pytest.raises(NumericalValidationError, match="t=1 "):
-        validate.oracle_triangle(times=(1.0, 2.0), d_values=(0.5,), alphas=(0.0,))
+        validate.oracle_triangle(*validate.triangle_plan((1.0, 2.0), (0.5,), (0.0,)))
