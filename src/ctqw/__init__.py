@@ -4,23 +4,13 @@ numerical propagators, and transport observables."""
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    analytic_amplitudes,
-    analytic_amplitudes_batch,
-    is_fine_tuned,
-    survival_asymptotic,
-    survival_exact,
-    survival_exact_batch,
-)
+from .analytic import is_fine_tuned, survival_asymptotic, survival_exact, survival_exact_batch
 from .bessel import bessel_row, bessel_row_batch, bessel_rows
 from .model import (
     LatticeWindow,
     NumericalValidationError,
     UndersizedGridError,
     WalkParams,
-    dispersion,
-    group_velocity,
-    initial_state_momentum,
     initial_state_position,
     light_cone_half_width,
     window_for,
@@ -36,17 +26,10 @@ from .observables import (
     observables_from_amplitudes,
     smoothed_survival,
 )
-from .propagators import (
-    OdeSpec,
-    RingSpec,
-    propagate_ode_batch,
-    spectral_amplitudes,
-)
+from .propagators import OdeSpec, RingSpec
 from .validate import oracle_triangle
 
 __all__ = [
-    "analytic_amplitudes",
-    "analytic_amplitudes_batch",
     "is_fine_tuned",
     "survival_asymptotic",
     "survival_exact",
@@ -58,9 +41,6 @@ __all__ = [
     "NumericalValidationError",
     "UndersizedGridError",
     "WalkParams",
-    "dispersion",
-    "group_velocity",
-    "initial_state_momentum",
     "initial_state_position",
     "light_cone_half_width",
     "window_for",
@@ -75,7 +55,5 @@ __all__ = [
     "smoothed_survival",
     "OdeSpec",
     "RingSpec",
-    "propagate_ode_batch",
-    "spectral_amplitudes",
     "oracle_triangle",
 ]

@@ -37,8 +37,11 @@ def _batch_args(points: Sequence[WalkParams], times):
 
 
 def analytic_blocks(points: Sequence[WalkParams], window: LatticeWindow, times, block: int):
-    """analytic_amplitudes_batch in time order, in blocks of at most ``block``
-    times, each norm-checked as it is made; one Bessel recurrence serves them all."""
+    """Exact amplitudes of each point on the window at each time >= 0, in time order, in
+    blocks of at most ``block`` times, shape (times, len(points), n_sites) as from
+    propagate_ode_blocks, each norm-checked as it is made. The Bessel factors depend
+    only on gamma*t, so one recurrence serves every point and time; each entry equals
+    the one-point, one-time evaluation bit for bit."""
     gamma, times = _batch_args(points, times)
     rows = bessel_row_batch(2.0 * gamma * times, window.half_width + 1)
     # the order |x| for x = -half_width-1 .. half_width+1, as i^{-n} J_{-n} = i^n J_n,
@@ -63,23 +66,9 @@ def analytic_blocks(points: Sequence[WalkParams], window: LatticeWindow, times, 
         yield psi
 
 
-def analytic_amplitudes_batch(points: Sequence[WalkParams], window: LatticeWindow,
-                              times) -> np.ndarray:
-    """Exact amplitudes of each point on the window at each time >= 0, shape
-    (len(times), len(points), n_sites) as from propagate_ode_batch. The Bessel
-    factors depend only on gamma*t, so one recurrence serves every point and
-    time; each entry equals the one-point, one-time evaluation bit for bit."""
-    return next(analytic_blocks(points, window, times, max(np.size(times), 1)))  # one block
-
-
-def analytic_amplitudes(params: WalkParams, window: LatticeWindow, times) -> np.ndarray:
-    """Exact amplitudes on the window at each time >= 0; shape (len(times), n_sites)."""
-    return analytic_amplitudes_batch([params], window, times)[:, 0]
-
-
 # One-time wrappers that the benchmark's tracer binds; they go with ROADMAP item 1.
 def analytic_wavefunction(params: WalkParams, window: LatticeWindow, t: float) -> np.ndarray:
-    return analytic_amplitudes(params, window, [t])[0]
+    return next(analytic_blocks([params], window, [t], 1))[0, 0]
 
 
 def analytic_probability(params: WalkParams, window: LatticeWindow, t: float) -> np.ndarray:

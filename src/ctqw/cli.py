@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import start_order
-from .analytic import (
-    analytic_amplitudes_batch,
-    analytic_blocks,
-    survival_asymptotic,
-    survival_exact,
-    survival_exact_batch,
-)
+from .analytic import analytic_blocks, survival_asymptotic, survival_exact, survival_exact_batch
 from .model import (
     NumericalValidationError,
     UndersizedGridError,
@@ -364,7 +358,7 @@ def _fig1():
     # Probability distributions, alpha = pi/2 at gamma*t = 50.
     points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
     window = window_for(points[0], 50.0)
-    for tag, amps in zip(_D_TAGS, analytic_amplitudes_batch(points, window, [50.0])[0]):
+    for tag, amps in zip(_D_TAGS, next(analytic_blocks(points, window, [50.0], 1))[0]):
         yield _wavefunction_panel(tag, window, amps)
 
 

@@ -107,16 +107,6 @@ def band_phase(alpha: float) -> float:
     return alpha if abs(alpha) <= math.pi else math.atan2(math.sin(alpha), math.cos(alpha))
 
 
-def dispersion(params: WalkParams, k):
-    """Band energy E(k) = -2*gamma*cos(alpha - k)."""
-    return -2.0 * params.gamma * np.cos(band_phase(params.alpha) - k)
-
-
-def group_velocity(params: WalkParams, k):
-    """dE/dk = -2*gamma*sin(alpha - k)."""
-    return -2.0 * params.gamma * np.sin(band_phase(params.alpha) - k)
-
-
 def initial_state_position(params: WalkParams, window: LatticeWindow) -> np.ndarray:
     """Three-site initial state on the window: sqrt(1-D) on x=0, sqrt(D/2) on x=+-1."""
     d = params.delocalization
@@ -125,12 +115,3 @@ def initial_state_position(params: WalkParams, window: LatticeWindow) -> np.ndar
     amps[window.index(1)] = math.sqrt(d / 2.0)
     amps[window.index(-1)] = math.sqrt(d / 2.0)
     return amps
-
-
-def initial_state_momentum(params: WalkParams, k):
-    """Momentum amplitude at t=0: (sqrt(1-D) + sqrt(2D) cos k) / sqrt(2 pi).
-
-    Real valued and even in k.
-    """
-    d = params.delocalization
-    return (math.sqrt(1.0 - d) + math.sqrt(2.0 * d) * np.cos(k)) / math.sqrt(2.0 * math.pi)

@@ -82,9 +82,13 @@ class OdeSpec:
 def spectral_blocks(points: Sequence[WalkParams], ring: RingSpec, window: LatticeWindow, times,
                     block: int, initial: Optional[np.ndarray] = None):
     """Each point's amplitudes on the window in time order, in norm-checked blocks of at
-    most ``block`` times, shape (times, len(points), n_sites). One ring check and one
-    (points x ring) forward FFT, then one inverse FFT per time along the ring axis.
-    ``initial``: amplitudes of any norm, (points x sites) or one row for every point."""
+    most ``block`` times, shape (times, len(points), n_sites), by diagonalizing in momentum
+    space; exactly unitary. One ring check and one (points x ring) forward FFT, then one
+    inverse FFT per time along the ring axis. Evolves each point's three-site initial state,
+    or ``initial``, amplitudes of any norm on the window, shape (n_sites,), for every point;
+    negative times run backwards (time-reversal checks)."""
+    if initial is not None and np.shape(initial) != (window.n_sites,):
+        raise ValueError(f"initial amplitudes must have the window's shape ({window.n_sites},)")
     times = np.asarray(times, dtype=float)
     far = float(times[np.argmax(np.abs(times))]) if times.size else 0.0
     ring.validate_for(max(points, key=lambda p: p.gamma), far)  # the widest light cone
@@ -104,17 +108,6 @@ def spectral_blocks(points: Sequence[WalkParams], ring: RingSpec, window: Lattic
             amps[i] = np.fft.ifft(psi_k * np.exp(2j * gamma * t * cosk))[:, on_ring]
         check_norm_deficit(window, amps, times[lo:], norm)  # names the block's first leak
         yield amps
-
-
-def spectral_amplitudes(params: WalkParams, ring: RingSpec, window: LatticeWindow, times,
-                        initial: Optional[np.ndarray] = None) -> np.ndarray:
-    """Amplitudes on the window at each time, shape (len(times), n_sites), by
-    diagonalizing in momentum space; exactly unitary. Evolves the three-site
-    initial state, or ``initial`` amplitudes of any norm on the window; negative
-    times run backwards (time-reversal checks). spectral_blocks of one point, in one block."""
-    if initial is not None and np.shape(initial) != (window.n_sites,):
-        raise ValueError(f"initial amplitudes must have the window's shape ({window.n_sites},)")
-    return next(spectral_blocks([params], ring, window, times, np.size(times) or 1, initial))[:, 0]
 
 
 def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, ode: OdeSpec,
@@ -193,12 +186,6 @@ def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, od
             yield snapshots
 
 
-def propagate_ode_batch(params: Sequence[WalkParams], window: LatticeWindow, ode: OdeSpec,
-                        times: Sequence[float]) -> np.ndarray:
-    """propagate_ode_blocks in one block, shape ``(len(times), len(params), n_sites)``."""
-    return next(propagate_ode_blocks(params, window, ode, times, max(len(times), 1)))
-
-
 def check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float, lo: int, hi: int) -> None:
     """Reject a (rows x sites) snapshot if any row has weight on or beyond
     sites ``lo`` and ``hi``, or a norm that drifted from 1."""
@@ -220,8 +207,8 @@ def check_rows(psi: np.ndarray, params: Sequence[WalkParams], t: float, lo: int,
 
 # One-time wrappers that the benchmark's tracer binds; they go with ROADMAP item 1.
 def propagate_spectral(params: WalkParams, ring: RingSpec, t: float, window: LatticeWindow):
-    return spectral_amplitudes(params, ring, window, [t])[0]
+    return next(spectral_blocks([params], ring, window, [t], 1))[0, 0]
 
 
 def propagate_ode(params: WalkParams, window: LatticeWindow, ode: OdeSpec, t: float) -> np.ndarray:
-    return propagate_ode_batch([params], window, ode, [t])[0, 0]
+    return next(propagate_ode_blocks([params], window, ode, [t], 1))[0, 0]

@@ -6,9 +6,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .analytic import analytic_amplitudes_batch
+from .analytic import analytic_blocks
 from .model import LatticeWindow, WalkParams, window_for
-from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_batch, spectral_blocks
+from .propagators import OdeSpec, RingSpec, check_rows, propagate_ode_blocks, spectral_blocks
 
 GRID_D = (0.0, 0.3, 0.5, 1.0)
 GRID_ALPHA = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
@@ -52,7 +52,8 @@ def oracle_triangle(*plan, **grid) -> List[CheckResult]:
     """
     points, outer, ode, times = plan or triangle_plan(**grid)
     checkpoints = sorted(times)
-    ode_amps = dict(zip(checkpoints, propagate_ode_batch(points, outer, ode, checkpoints)))
+    rk4 = next(propagate_ode_blocks(points, outer, ode, checkpoints, len(checkpoints)))  # one pass
+    ode_amps = dict(zip(checkpoints, rk4))
     results = []
     for t in times:
         window = window_for(points[0], t)  # the triangle's points share one gamma
@@ -60,7 +61,7 @@ def oracle_triangle(*plan, **grid) -> List[CheckResult]:
         # RK4 ran on the latest time's window; each earlier window is checked
         # as a run on it would be
         check_rows(ode_amps[t], points, t, lo, hi)
-        exact = np.abs(analytic_amplitudes_batch(points, window, [t])[0]) ** 2
+        exact = np.abs(next(analytic_blocks(points, window, [t], 1))[0]) ** 2
         spectral = next(spectral_blocks(points, RingSpec.for_run(points[0], t), window, [t], 1))[0]
         worst = [abs(exact - np.abs(amps) ** 2).max(axis=1)  # per point; max is exact
                  for amps in (spectral, ode_amps[t][:, lo : hi + 1])]

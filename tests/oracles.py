@@ -1,9 +1,15 @@
-"""Independent brute-force oracles used only by the tests."""
+"""Independent brute-force oracles used only by the tests, and the one-block
+helpers through which the tests reach each route."""
+
+import math
 
 import numpy as np
 from mpmath import mp
 
+from ctqw.analytic import analytic_blocks
 from ctqw.bessel import _OVERFLOW_LIMIT, _RESCALE, _TINY, _Z_TINY, start_order
+from ctqw.model import WalkParams, band_phase
+from ctqw.propagators import propagate_ode_blocks, spectral_blocks
 
 
 def bessel_series(n: int, z: float, dps: int = 40) -> float:
@@ -58,3 +64,44 @@ def bessel_row_loop(z: float, n_max: int, start=None):
     out[0] = jn
     out /= jn + 2.0 * even_sum
     return out
+
+
+def _one_block(blocks, params, *args, **kwargs):
+    """A route's blocks over the whole time grid (the last of args) as one block:
+    (times x points x sites) for a list of WalkParams, (times x sites) for one."""
+    one = isinstance(params, WalkParams)
+    amps = next(blocks([params] if one else params, *args, max(np.size(args[-1]), 1), **kwargs))
+    return amps[:, 0] if one else amps
+
+
+def analytic_amplitudes(params, window, times):
+    return _one_block(analytic_blocks, params, window, times)
+
+
+def spectral_amplitudes(params, ring, window, times, initial=None):
+    return _one_block(spectral_blocks, params, ring, window, times, initial=initial)
+
+
+def ode_amplitudes(params, window, ode, times):
+    return _one_block(propagate_ode_blocks, params, window, ode, times)
+
+
+# The momentum-space picture, derived independently of the routes: the spectral route
+# writes its band inline, and the tests check the drift law and the bases against these.
+def dispersion(params: WalkParams, k):
+    """Band energy E(k) = -2*gamma*cos(alpha - k)."""
+    return -2.0 * params.gamma * np.cos(band_phase(params.alpha) - k)
+
+
+def group_velocity(params: WalkParams, k):
+    """dE/dk = -2*gamma*sin(alpha - k)."""
+    return -2.0 * params.gamma * np.sin(band_phase(params.alpha) - k)
+
+
+def initial_state_momentum(params: WalkParams, k):
+    """Momentum amplitude at t=0: (sqrt(1-D) + sqrt(2D) cos k) / sqrt(2 pi).
+
+    Real valued and even in k.
+    """
+    d = params.delocalization
+    return (math.sqrt(1.0 - d) + math.sqrt(2.0 * d) * np.cos(k)) / math.sqrt(2.0 * math.pi)

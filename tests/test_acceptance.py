@@ -22,14 +22,13 @@ from ctqw import (
     msd_closed_form,
     observables_from_amplitudes,
     smoothed_survival,
-    spectral_amplitudes,
     survival_exact,
     window_for,
 )
 from ctqw.bessel import bessel_row, start_order
 from ctqw.cli import main as cli_main
 from ctqw.validate import GRID_ALPHA, GRID_D, GRID_T, oracle_triangle
-from oracles import bessel_series
+from oracles import bessel_series, spectral_amplitudes
 from readback import read_csv
 
 PI = math.pi

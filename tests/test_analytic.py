@@ -10,8 +10,6 @@ from ctqw import (
     LatticeWindow,
     UndersizedGridError,
     WalkParams,
-    analytic_amplitudes,
-    analytic_amplitudes_batch,
     initial_state_position,
     is_fine_tuned,
     mean_velocity,
@@ -22,6 +20,7 @@ from ctqw import (
 )
 from ctqw.analytic import analytic_blocks
 from ctqw.bessel import bessel_row
+from oracles import analytic_amplitudes
 
 PI = math.pi
 
@@ -81,13 +80,13 @@ class TestWavefunction:
         window = window_for(WalkParams(), 20.0)
         for d, a in [(0.5, 0.8), (0.2, PI / 2), (1.0, -1.1)]:
             points = [WalkParams(alpha=a, delocalization=d), WalkParams(alpha=-a, delocalization=d)]
-            p_plus, p_minus = np.abs(analytic_amplitudes_batch(points, window, [20.0])[0]) ** 2
+            p_plus, p_minus = np.abs(analytic_amplitudes(points, window, [20.0])[0]) ** 2
             assert np.allclose(p_minus, p_plus[::-1], rtol=0, atol=1e-12)
 
     def test_alpha_periodicity(self):
         window = window_for(WalkParams(), 10.0)
         points = [WalkParams(alpha=a, delocalization=0.4) for a in (0.9, 0.9 + 2 * PI)]
-        p1, p2 = np.abs(analytic_amplitudes_batch(points, window, [10.0])[0]) ** 2
+        p1, p2 = np.abs(analytic_amplitudes(points, window, [10.0])[0]) ** 2
         assert np.allclose(p1, p2, rtol=0, atol=1e-12)
 
     def test_undersized_window_rejected(self):
@@ -114,7 +113,7 @@ class TestWavefunction:
         # first leaking time over all its points
         points = [WalkParams(), WalkParams(delocalization=1.0)]
         with pytest.raises(UndersizedGridError, match=r"at t=1\.6$"):
-            analytic_amplitudes_batch(points, LatticeWindow(10), [1.0, 1.6, 2.0])
+            analytic_amplitudes(points, LatticeWindow(10), [1.0, 1.6, 2.0])
         with pytest.raises(ValueError, match="got -1.0"):
             analytic_amplitudes(WalkParams(), LatticeWindow(50), [1.0, -1.0, 2.0])
 
@@ -177,7 +176,7 @@ class TestBatch:
     def test_amplitudes_equal_one_point_calls_byte_for_byte(self):
         times = np.array([12.5, 0.0, 40.0, 1e-9, 3.25])
         window = window_for(self.POINTS[0], 40.0)
-        psi = analytic_amplitudes_batch(self.POINTS, window, times)
+        psi = analytic_amplitudes(self.POINTS, window, times)
         assert psi.shape == (times.size, len(self.POINTS), window.n_sites)
         for j, params in enumerate(self.POINTS):
             one = analytic_amplitudes(params, window, times)
@@ -211,7 +210,7 @@ class TestBatch:
          "ed0bb761092b6de29c7274be28ac605529c3952dcfab34dc2564cc21429337d4"),
     ], ids=["series", "tiny"])
     def test_amplitude_bytes_are_pinned_in_any_blocks(self, window, times, digest):
-        whole = analytic_amplitudes_batch(self.PINNED, window, times)
+        whole = analytic_amplitudes(self.PINNED, window, times)
         assert hashlib.sha256(whole.tobytes()).hexdigest() == digest
         for block in (1, 2, 5, times.size):
             blocks = list(analytic_blocks(self.PINNED, window, times, block))
@@ -223,7 +222,7 @@ class TestBatch:
     @pytest.mark.parametrize("points", [[WalkParams(gamma=1.0), WalkParams(gamma=2.0)], []])
     def test_batch_needs_one_gamma(self, points):
         with pytest.raises(ValueError, match="one gamma"):
-            analytic_amplitudes_batch(points, LatticeWindow(50), [1.0])
+            analytic_amplitudes(points, LatticeWindow(50), [1.0])
         with pytest.raises(ValueError, match="one gamma"):
             survival_exact_batch(points, [1.0])
 

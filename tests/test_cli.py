@@ -13,16 +13,14 @@ from ctqw import (
     RingSpec,
     UndersizedGridError,
     WalkParams,
-    analytic_amplitudes,
     bessel,
     cli,
     observables_from_amplitudes,
-    propagate_ode_batch,
-    spectral_amplitudes,
     tables,
     validate,
 )
 from ctqw.cli import build_parser, main, plan
+from oracles import analytic_amplitudes, ode_amplitudes, spectral_amplitudes
 from readback import read_csv
 
 PI = math.pi
@@ -503,7 +501,7 @@ def test_benchmark_jobs_are_within_budget(argv):
 
 def test_validate_runs_the_rk4_pass_its_plan_counted(monkeypatch):
     plans, triangles, passes = [], [], []
-    real_plan, real_batch = cli.plan, validate.propagate_ode_batch
+    real_plan, real_blocks = cli.plan, validate.propagate_ode_blocks
     real_triangle = validate.triangle_plan
 
     def spy_plan(args):
@@ -514,14 +512,14 @@ def test_validate_runs_the_rk4_pass_its_plan_counted(monkeypatch):
         triangles.append(args)
         return real_triangle(*args, **kwargs)
 
-    def spy_batch(points, window, ode, times):
+    def spy_blocks(points, window, ode, times, block):
         passes.append((len(points), window, ode))
-        return real_batch(points, window, ode, times)
+        return real_blocks(points, window, ode, times, block)
 
     monkeypatch.setattr(cli, "plan", spy_plan)
     monkeypatch.setattr(cli, "triangle_plan", spy_triangle)
     monkeypatch.setattr(validate, "triangle_plan", spy_triangle)
-    monkeypatch.setattr(validate, "propagate_ode_batch", spy_batch)
+    monkeypatch.setattr(validate, "propagate_ode_blocks", spy_blocks)
     assert run("validate", "--quick") == 0
     (counted,), ((rows, window, ode),) = plans, passes  # one plan, one RK4 pass
     assert triangles == [((1.0, 5.0),)]  # plan's; oracle_triangle runs it and makes none
@@ -587,12 +585,12 @@ BLOCK_PARAMS = WalkParams(alpha=0.7, delocalization=0.3)
 
 
 def _whole_matrix(source, window, times, step=1e-3):
-    """The route's whole (times x sites) matrix from the public functions."""
+    """The route's whole (times x sites) matrix, in one block."""
     if source == "analytic":
         return analytic_amplitudes(BLOCK_PARAMS, window, times)
     if source == "spectral":
         return spectral_amplitudes(BLOCK_PARAMS, RingSpec.for_run(BLOCK_PARAMS, 2.0), window, times)
-    return propagate_ode_batch([BLOCK_PARAMS], window, OdeSpec(step), times)[:, 0]
+    return ode_amplitudes(BLOCK_PARAMS, window, OdeSpec(step), times)
 
 
 def _observables_argv(source, half_width, npoints, *flags):

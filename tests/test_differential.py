@@ -18,16 +18,14 @@ from ctqw import (
     OdeSpec,
     RingSpec,
     WalkParams,
-    analytic_amplitudes,
     mean_velocity,
     msd_closed_form,
     observables_from_amplitudes,
-    propagate_ode_batch,
-    spectral_amplitudes,
     survival_exact,
     window_for,
 )
 from ctqw.validate import ODE_TOL, SPECTRAL_TOL
+from oracles import analytic_amplitudes, ode_amplitudes, spectral_amplitudes
 
 # RK4 is compared only up to this gamma*t: at most 1000 steps of the default
 # gamma*h = 1e-3, on a window of about 90 sites
@@ -62,7 +60,7 @@ def test_routes_and_closed_forms_agree(gamma, alpha, d, gts):
     assert np.abs(np.abs(spectral) ** 2 - p_exact).max() < SPECTRAL_TOL
 
     if gamma * times[-1] <= ODE_MAX_GT:
-        ode = propagate_ode_batch([params], window, OdeSpec.default_for(params), times)[:, 0]
+        ode = ode_amplitudes(params, window, OdeSpec.default_for(params), times)
         assert np.abs(np.abs(ode) ** 2 - p_exact).max() < ODE_TOL
 
     msd_law = msd_closed_form(params, times)
@@ -95,5 +93,5 @@ def test_routes_agree_on_amplitudes_past_pi(gamma, alpha, d, gts):
     assert np.abs(spectral - exact).max() < SPECTRAL_TOL
 
     if gamma * times[-1] <= ODE_MAX_GT:
-        ode = propagate_ode_batch([params], window, OdeSpec.default_for(params), times)[:, 0]
+        ode = ode_amplitudes(params, window, OdeSpec.default_for(params), times)
         assert np.abs(ode - exact).max() < ODE_TOL

@@ -8,14 +8,12 @@ import ctqw
 from ctqw import (
     LatticeWindow,
     WalkParams,
-    dispersion,
-    group_velocity,
-    initial_state_momentum,
     initial_state_position,
     light_cone_half_width,
     mean_velocity,
     window_for,
 )
+from oracles import dispersion, group_velocity, initial_state_momentum
 
 PI = math.pi
 

@@ -8,7 +8,6 @@ from ctqw import (
     OdeSpec,
     RingSpec,
     WalkParams,
-    analytic_amplitudes,
     backfire_ordering,
     crossing_time,
     fit_power_law,
@@ -16,12 +15,11 @@ from ctqw import (
     mean_velocity,
     msd_closed_form,
     observables_from_amplitudes,
-    propagate_ode_batch,
     smoothed_survival,
-    spectral_amplitudes,
     survival_exact,
     window_for,
 )
+from oracles import analytic_amplitudes, ode_amplitudes, spectral_amplitudes
 
 PI = math.pi
 
@@ -68,7 +66,7 @@ class TestMsdClosedForm:
             spec = spectral_amplitudes(params, RingSpec.for_run(params, t), window, [t])
             _, (msd,), _ = observables_from_amplitudes(window, spec)
             assert msd == pytest.approx(expected, rel=1e-6)
-            ode = propagate_ode_batch([params], window, OdeSpec.default_for(params), [t])[:, 0]
+            ode = ode_amplitudes(params, window, OdeSpec.default_for(params), [t])
             _, (msd,), _ = observables_from_amplitudes(window, ode)
             assert msd == pytest.approx(expected, rel=1e-6)
 
@@ -115,7 +113,7 @@ def _source_matrices(params, window, times):
     return {
         "analytic": analytic_amplitudes(params, window, times),
         "spectral": spectral_amplitudes(params, ring, window, times),
-        "ode": propagate_ode_batch([params], window, ode, times)[:, 0],
+        "ode": ode_amplitudes(params, window, ode, times),
     }
 
 

@@ -1,4 +1,4 @@
-"""CLI output bytes pinned by sha256.
+"""CLI output bytes pinned by sha256, and a run of the README's library sketch.
 
 Each case runs ``ctqw.cli.main`` in an empty directory and hashes its exit
 code, stdout and every file it wrote. The digests in ``outputs.sha256``
@@ -87,6 +87,18 @@ def test_readme_examples_are_the_cases():
     assert [words[0] for words in commands] == ["ctqw"] * len(commands)
     assert ([" ".join(words[1:]) for words in commands]
             == [argv for name, argv in CASES.items() if name.startswith("readme-")])
+
+
+def test_library_sketch_runs():
+    # the python block under "## Library sketch", as written there; it ends with the
+    # quick oracle triangle, and asserts the drift and MSD laws on its way
+    section = README.read_text().split("\n## Library sketch\n", 1)[1]
+    scope = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    assert scope["psi"].shape == scope["check"].shape == (41, scope["window"].n_sites)
+    assert scope["psis"].shape == (41, 3, scope["window"].n_sites)
+    assert len(scope["parts"]) == 6  # 41 times in blocks of 8
+    assert [c.passed for c in scope["checks"]] == [True] * 64
 
 
 def test_every_case_is_recorded():

@@ -11,15 +11,13 @@ from ctqw import (
     RingSpec,
     UndersizedGridError,
     WalkParams,
-    analytic_amplitudes,
     initial_state_position,
     observables_from_amplitudes,
-    propagate_ode_batch,
-    spectral_amplitudes,
     window_for,
 )
 from ctqw import propagators
 from ctqw.validate import SPECTRAL_TOL
+from oracles import analytic_amplitudes, ode_amplitudes, spectral_amplitudes
 
 PI = math.pi
 
@@ -203,14 +201,14 @@ class TestOde:
     def test_identity_at_time_zero(self):
         params = WalkParams(alpha=1.0, delocalization=0.3)
         window = LatticeWindow(4)
-        psi = propagate_ode_batch([params], window, OdeSpec(1e-3), [0.0])[0, 0]
+        psi = ode_amplitudes(params, window, OdeSpec(1e-3), [0.0])[0]
         expected = initial_state_position(params, window)
         assert np.array_equal(psi, expected)
 
     def test_matches_analytic(self):
         params = WalkParams(alpha=0.0, delocalization=1.0)
         window = window_for(params, 10.0)
-        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [10.0])[:, 0]
+        psi = ode_amplitudes(params, window, OdeSpec.default_for(params), [10.0])
         p_exact = np.abs(analytic_amplitudes(params, window, [10.0])) ** 2
         assert np.abs(np.abs(psi) ** 2 - p_exact).max() < 1e-8
 
@@ -218,7 +216,7 @@ class TestOde:
         # MSD(gt=20) = 0.5 + 2*400*(1 - 0.25 + 0.25) = 800.5
         params = WalkParams(alpha=PI / 4, delocalization=0.5)
         window = window_for(params, 20.0)
-        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [20.0])[:, 0]
+        psi = ode_amplitudes(params, window, OdeSpec.default_for(params), [20.0])
         _, (msd,), _ = observables_from_amplitudes(window, psi)
         assert msd == pytest.approx(800.5, rel=1e-5)
 
@@ -226,14 +224,14 @@ class TestOde:
         params = WalkParams(alpha=0.5, delocalization=0.4)
         t = 1.00037  # not a multiple of the step
         window = window_for(params, t)
-        psi = propagate_ode_batch([params], window, OdeSpec(1e-3), [t])[:, 0]
+        psi = ode_amplitudes(params, window, OdeSpec(1e-3), [t])
         p_exact = np.abs(analytic_amplitudes(params, window, [t])) ** 2
         assert np.abs(np.abs(psi) ** 2 - p_exact).max() < 1e-9
 
     def test_norm_drift_bounded(self):
         params = WalkParams(gamma=1.5, alpha=2.0, delocalization=0.7)
         window = window_for(params, 10.0)
-        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [10.0])[0, 0]
+        psi = ode_amplitudes(params, window, OdeSpec.default_for(params), [10.0])[0]
         assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-9
 
     def test_convergence_order_is_four(self):
@@ -244,24 +242,24 @@ class TestOde:
         ref = spectral_amplitudes(params, ring, window, [t])[0]
         errs = []
         for h in (0.01, 0.005):
-            psi = propagate_ode_batch([params], window, OdeSpec(h), [t])[0, 0]
+            psi = ode_amplitudes(params, window, OdeSpec(h), [t])[0]
             errs.append(np.abs(psi - ref).max())
         order = math.log2(errs[0] / errs[1])
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_rejects_undersized_window(self):
         with pytest.raises(UndersizedGridError):
-            propagate_ode_batch([WalkParams()], LatticeWindow(10), OdeSpec(1e-3), [20.0])
+            ode_amplitudes([WalkParams()], LatticeWindow(10), OdeSpec(1e-3), [20.0])
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            propagate_ode_batch([WalkParams()], LatticeWindow(50), OdeSpec(1e-3), [-1.0])
+            ode_amplitudes([WalkParams()], LatticeWindow(50), OdeSpec(1e-3), [-1.0])
 
     def test_ode_sign_convention_gives_negative_drift(self):
         # for 0 < D < 1 and alpha = pi/2 the drift must be negative
         params = WalkParams(alpha=PI / 2, delocalization=0.5)
         window = window_for(params, 3.0)
-        psi = propagate_ode_batch([params], window, OdeSpec.default_for(params), [3.0])[:, 0]
+        psi = ode_amplitudes(params, window, OdeSpec.default_for(params), [3.0])
         (mean,), _, _ = observables_from_amplitudes(window, psi)
         assert mean < -1.0
 
@@ -278,19 +276,19 @@ ONE_ROW = WalkParams(alpha=1.1, delocalization=0.37)
 class TestOdeBatch:
     def test_rows_equal_single_runs(self):
         window, ode, t = window_for(WalkParams(), 2.0), OdeSpec(1e-3), 2.0
-        batch = propagate_ode_batch(GRID_ROWS, window, ode, [t])
+        batch = ode_amplitudes(GRID_ROWS, window, ode, [t])
         assert batch.shape == (1, 16, window.n_sites)
         for params, row in zip(GRID_ROWS, batch[0]):
-            assert np.array_equal(row, propagate_ode_batch([params], window, ode, [t])[0, 0])
+            assert np.array_equal(row, ode_amplitudes(params, window, ode, [t])[0])
 
     def test_checkpoints_equal_runs_from_zero(self):
         # checkpoints that are multiples of the step take the same steps
         params = WalkParams(alpha=0.9, delocalization=0.6)
         window, ode = window_for(params, 3.0), OdeSpec(1e-3)
         times = [0.0, 0.5, 1.25, 3.0]
-        snapshots = propagate_ode_batch([params], window, ode, times)
+        snapshots = ode_amplitudes([params], window, ode, times)
         for t, snap in zip(times, snapshots):
-            assert np.array_equal(snap[0], propagate_ode_batch([params], window, ode, [t])[0, 0])
+            assert np.array_equal(snap[0], ode_amplitudes(params, window, ode, [t])[0])
 
     @pytest.mark.parametrize("rows, ode, times", [
         ([ONE_ROW], OdeSpec.default_for(ONE_ROW), np.linspace(0.0, 10.0, 21)),
@@ -300,7 +298,7 @@ class TestOdeBatch:
     ], ids=["one-row", "grid-rows-short-steps", "one-row-short-steps"])
     def test_checkpoints_equal_chained_restarts(self, rows, ode, times):
         window = window_for(rows[0], times[-1])
-        snapshots = propagate_ode_batch(rows, window, ode, times)
+        snapshots = ode_amplitudes(rows, window, ode, times)
         for r, params in enumerate(rows):
             # restart from each snapshot, one gap at a time, by hand
             psi, t_prev = initial_state_position(params, window), 0.0
@@ -318,37 +316,37 @@ class TestOdeBatch:
     ], ids=["grid-rows", "one-row"])
     def test_snapshot_bytes_are_pinned(self, rows, ode, times, digest):
         # array_equal takes -0.0 for 0.0; a digest of the bytes does not
-        snapshots = propagate_ode_batch(rows, window_for(rows[0], times[-1]), ode, times)
+        snapshots = ode_amplitudes(rows, window_for(rows[0], times[-1]), ode, times)
         assert hashlib.sha256(snapshots.tobytes()).hexdigest() == digest
 
     def test_rejects_unsorted_or_negative_times(self):
         window, ode = LatticeWindow(50), OdeSpec(1e-3)
         for times in ([1.0, 0.5], [-1.0, 1.0], [0.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
-                propagate_ode_batch([WalkParams()], window, ode, times)
+                ode_amplitudes([WalkParams()], window, ode, times)
 
     def test_undersized_window_checked_at_latest_time(self):
         window = window_for(WalkParams(), 1.0)
         with pytest.raises(UndersizedGridError, match="t=20.0"):
-            propagate_ode_batch(GRID_ROWS, window, OdeSpec(1e-3), [1.0, 20.0])
+            ode_amplitudes(GRID_ROWS, window, OdeSpec(1e-3), [1.0, 20.0])
 
     def test_one_bad_row_trips_edge_leak(self):
         # on the three-site window only a delocalized row has weight on the edges
         localized = WalkParams(alpha=0.3, delocalization=0.0)
         spread = WalkParams(alpha=0.3, delocalization=0.5)
         window = LatticeWindow(1)
-        propagate_ode_batch([localized, localized], window, OdeSpec(1e-3), [0.0])
+        ode_amplitudes([localized, localized], window, OdeSpec(1e-3), [0.0])
         with pytest.raises(NumericalValidationError, match="edge-site.*delocalization=0.5"):
-            propagate_ode_batch([localized, spread, localized], window, OdeSpec(1e-3), [0.0])
+            ode_amplitudes([localized, spread, localized], window, OdeSpec(1e-3), [0.0])
 
     def test_one_bad_row_trips_norm_drift(self):
         # a coarse step is harmless at gamma = 1 and unstable at gamma = 40
         slow = WalkParams(gamma=1.0, delocalization=0.5)
         fast = WalkParams(gamma=40.0, delocalization=0.5)
         window, ode = LatticeWindow(400), OdeSpec(0.01)
-        propagate_ode_batch([slow, slow], window, ode, [0.1, 0.2])
+        ode_amplitudes([slow, slow], window, ode, [0.1, 0.2])
         with pytest.raises(NumericalValidationError, match="norm drift.*gamma=40.0"):
-            propagate_ode_batch([slow, fast], window, ode, [0.1, 0.2])
+            ode_amplitudes([slow, fast], window, ode, [0.1, 0.2])
 
 
 EDGE_ROWS = [
@@ -371,7 +369,7 @@ def test_edge_sites_equal_the_reference_byte_for_byte(monkeypatch, half_width, n
     step = 5e-5
     window = LatticeWindow(half_width)
     times = [n_full * step, (n_full + 0.37) * step]  # the second gap is one shortened step
-    snapshots = propagate_ode_batch(EDGE_ROWS, window, OdeSpec(step), times)
+    snapshots = ode_amplitudes(EDGE_ROWS, window, OdeSpec(step), times)
     edge = (np.abs(snapshots[-1][:, [0, -1]]) ** 2).sum(axis=1)
     assert np.all(edge > 0.0) and np.all(edge <= propagators.EDGE_LEAK_LIMIT)
     for r, params in enumerate(EDGE_ROWS):
@@ -413,7 +411,7 @@ def test_oracle_triangle_point():
     p_exact = np.abs(analytic_amplitudes(params, window, [t])) ** 2
     p_spec = np.abs(spectral_amplitudes(params, RingSpec.for_run(params, t), window, [t])) ** 2
     ode = OdeSpec.default_for(params)
-    p_ode = np.abs(propagate_ode_batch([params], window, ode, [t])[:, 0]) ** 2
+    p_ode = np.abs(ode_amplitudes(params, window, ode, [t])) ** 2
     assert np.abs(p_exact - p_spec).max() < 1e-10
     assert np.abs(p_exact - p_ode).max() < 1e-8
 
