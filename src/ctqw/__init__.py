@@ -7,8 +7,10 @@ __version__ = "0.1.0"
 from .analytic import is_fine_tuned, survival_asymptotic, survival_exact, survival_exact_batch
 from .bessel import bessel_row, bessel_row_batch, bessel_rows
 from .model import (
+    ConfigError,
     LatticeWindow,
     NumericalValidationError,
+    Refusal,
     UndersizedGridError,
     WalkParams,
     initial_state_position,
@@ -37,8 +39,10 @@ __all__ = [
     "bessel_row",
     "bessel_row_batch",
     "bessel_rows",
+    "ConfigError",
     "LatticeWindow",
     "NumericalValidationError",
+    "Refusal",
     "UndersizedGridError",
     "WalkParams",
     "initial_state_position",

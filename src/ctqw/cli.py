@@ -1,7 +1,10 @@
 """Command-line front end: scenario runs, figure-data reproduction, validation.
 
-Exit codes: 0 success, 1 I/O failure, 2 configuration error, 3 numerical
-validation failure.
+Exit codes: 0 success, 1 I/O failure (an OSError), 2 configuration error
+(``ConfigError``), 3 numerical validation failure (``UndersizedGridError``,
+``NumericalValidationError``). Each refusal type is a ``model.Refusal`` that
+carries its exit code and label; ``main`` prints ``ctqw: <label>: <message>``
+on one stderr line, with no traceback.
 """
 
 import argparse
@@ -19,14 +22,8 @@ import numpy as np
 from . import __version__
 from .bessel import start_order
 from .analytic import analytic_blocks, survival_asymptotic, survival_exact, survival_exact_batch
-from .model import (
-    NumericalValidationError,
-    UndersizedGridError,
-    LatticeWindow,
-    WalkParams,
-    light_cone_half_width,
-    window_for,
-)
+from .model import (ConfigError, LatticeWindow, Refusal, WalkParams, light_cone_half_width,
+                    window_for)
 from .observables import crossing_time, mean_velocity, msd_closed_form, observables_from_amplitudes
 from .propagators import OdeSpec, RingSpec, propagate_ode_blocks, spectral_blocks
 from .tables import emit_table
@@ -50,10 +47,6 @@ LIMITS = {
     "rows": 10**6,  # of a time-grid or sweep table: 2-3 us each, sweep 6.5 (CSV or JSON)
 }
 BLOCK_AMPLITUDES = 2**14  # the most that observables holds at once: 0.25 MiB of complex
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _finite(text):
@@ -120,6 +113,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="closed-form observables over a parameter sweep")
     _add_common(p)
+    p.set_defaults(alpha=None, dparam=None)  # None unless given: plan refuses the swept one's
     p.add_argument("--sweep-param", choices=("dparam", "alpha"), default="dparam")
     p.add_argument("--start", type=_finite, default=0.0)
     p.add_argument("--stop", type=_finite, default=1.0)
@@ -173,14 +167,6 @@ def load_config(path, args):
     return tokens
 
 
-def _spec(cls, *values, **fields):
-    """Build a parameter or grid spec; its ValueError is a config error."""
-    try:
-        return cls(*values, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _fmt(amount):
     return f"{amount:.3g}" if isinstance(amount, float) else str(amount)
 
@@ -219,6 +205,10 @@ def plan(args) -> Plan:
         if not math.isfinite(args.stop - args.start):  # before np.linspace overflows
             raise ConfigError(f"sweep from {args.start:g} to {args.stop:g} overflows a double")
         run.count("rows", args.steps, "--steps asks for")
+        swept = args.sweep_param
+        if getattr(args, swept) is not None:  # given by flag or config key
+            raise ConfigError(f"--{swept} would be ignored: --sweep-param {swept} sweeps it "
+                              "from --start to --stop")
     if command == "figure" and not (args.out and Path(args.out).name):
         raise ConfigError("figure requires --out naming a file (panel files derive from it)")
     if command in ("sweep", "figure"):
@@ -226,8 +216,8 @@ def plan(args) -> Plan:
     for flag, source in (("--ring-size", "spectral"), ("--step", "ode")):  # one source's sizing
         if getattr(args, flag[2:].replace("-", "_"), None) is not None and args.source != source:
             raise ConfigError(f"{flag} sizes --source {source} only, not {args.source}")
-    run.params = _spec(WalkParams, gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
-                       delocalization=getattr(args, "dparam", 0.0))
+    run.params = WalkParams(gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
+                            delocalization=getattr(args, "dparam", 0.0))
     if command == "validate":
         run.times = QUICK_T if args.quick else GRID_T
     elif command == "wavefunction":
@@ -260,7 +250,7 @@ def plan(args) -> Plan:
             if args.ring_size is not None:
                 run.count("sites", args.ring_size, "--ring-size asks for")
             run.window = (window_for(run.params, t) if args.half_width is None
-                          else _spec(LatticeWindow, args.half_width))
+                          else LatticeWindow(args.half_width))
             sites = run.window.n_sites
             run.count("amplitudes", n_times * sites, f"{n_times} times x {sites} sites need")
             n_max = run.window.half_width + 1
@@ -271,14 +261,14 @@ def plan(args) -> Plan:
             run.count("order-columns", top * n_times,
                       f"Bessel order {top} over {n_times} times needs")
         elif args.source == "spectral":
-            run.ring = (RingSpec.for_run(run.params, t) if args.ring_size is None
-                        else _spec(RingSpec, args.ring_size))
+            run.ring = (RingSpec.for_run(run.params, t, run.window) if args.ring_size is None
+                        else RingSpec(args.ring_size))
             size = run.ring.size
             run.count("FFT points", size * (1 + n_times),
                       f"{n_times} times on a ring of {size} sites need")
         else:
             run.ode = (OdeSpec.default_for(run.params) if args.step is None
-                       else _spec(OdeSpec, step=args.step))
+                       else OdeSpec(step=args.step))
     if run.ode is not None:
         steps = -(-t // run.ode.step)  # a float: a tiny step gives inf
         sites, rows = run.window.n_sites, len(run.points) or 1  # the triangle's, or the run's one
@@ -337,9 +327,10 @@ def _survival(args, run):
 
 def _sweep(args, run):
     rows = np.empty((args.steps, 4))  # one float64 row per swept value
+    alpha, dparam = (0.0 if x is None else x for x in (args.alpha, args.dparam))  # 0 by default
     for row, v in zip(rows, np.linspace(args.start, args.stop, args.steps)):
-        d, a = (float(v), args.alpha) if args.sweep_param == "dparam" else (args.dparam, float(v))
-        params = _spec(WalkParams, gamma=args.gamma, alpha=a, delocalization=d)
+        d, a = (float(v), alpha) if args.sweep_param == "dparam" else (dparam, float(v))
+        params = WalkParams(gamma=args.gamma, alpha=a, delocalization=d)
         try:  # gamma**2 raises OverflowError; any other overflow leaves inf or nan
             with np.errstate(all="ignore"):
                 msd = msd_closed_form(params, args.tmax)
@@ -351,14 +342,16 @@ def _sweep(args, run):
     yield None, [args.sweep_param, "mean_velocity", "crossing_time", "msd_tmax"], rows
 
 
-_D_TAGS = {"d0": 0.0, "d05": 0.5, "d1": 1.0}
+# fig1's and fig5's walks, by panel tag: alpha = pi/2 at three delocalizations
+_FIG_WALKS = {tag: WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d)
+              for tag, d in (("d0", 0.0), ("d05", 0.5), ("d1", 1.0))}
 
 
 def _fig1():
     # Probability distributions, alpha = pi/2 at gamma*t = 50.
-    points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
+    points = list(_FIG_WALKS.values())
     window = window_for(points[0], 50.0)
-    for tag, amps in zip(_D_TAGS, next(analytic_blocks(points, window, [50.0], 1))[0]):
+    for tag, amps in zip(_FIG_WALKS, next(analytic_blocks(points, window, [50.0], 1))[0]):
         yield _wavefunction_panel(tag, window, amps)
 
 
@@ -391,8 +384,8 @@ def _fig4():
 def _fig5():
     # Survival probability on a log-log grid, alpha = pi/2.
     ts = np.geomspace(0.1, 500.0, 200)
-    points = [WalkParams(gamma=1.0, alpha=math.pi / 2, delocalization=d) for d in _D_TAGS.values()]
-    for tag, params, exact in zip(_D_TAGS, points, survival_exact_batch(points, ts)):
+    points = list(_FIG_WALKS.values())
+    for tag, params, exact in zip(_FIG_WALKS, points, survival_exact_batch(points, ts)):
         asym = survival_asymptotic(params, ts)
         yield tag, ["t", "P_surv_exact", "P_asymptotic"], np.column_stack((ts, exact, asym))
 
@@ -430,12 +423,9 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a bad argv
         return exc.code
-    except ConfigError as exc:
-        print(f"ctqw: config error: {exc}", file=sys.stderr)
-        return 2
-    except (UndersizedGridError, NumericalValidationError) as exc:
-        print(f"ctqw: numerical validation failure: {exc}", file=sys.stderr)
-        return 3
+    except Refusal as exc:  # ConfigError 2; UndersizedGridError, NumericalValidationError 3
+        print(f"ctqw: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"ctqw: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class UndersizedGridError(ValueError):
+class Refusal(Exception):
+    """A run refused rather than computed unsoundly. The CLI prints one line,
+    ``ctqw: <label>: <message>``, and exits with the type's ``exit_code``."""
+
+
+class ConfigError(Refusal, ValueError):
+    """An argument, config line, spec field or amount of work the run refuses."""
+    exit_code, label = 2, "config error"
+
+
+class UndersizedGridError(Refusal, ValueError):
     """A lattice window or ring is too small to contain the light cone."""
+    exit_code, label = 3, "numerical validation failure"
+
+
+class NumericalValidationError(Refusal, RuntimeError):
+    """A numerical sanity check (norm conservation, leakage) failed."""
+    exit_code, label = 3, "numerical validation failure"
 
 
 # Norm deficit above this signals a truncated light cone, not rounding.
@@ -31,10 +47,6 @@ def check_norm_deficit(window: "LatticeWindow", amplitudes: np.ndarray, times, n
                                   f"{deficit[i]:.3e} at t={times[i[0]]}")
 
 
-class NumericalValidationError(RuntimeError):
-    """A numerical sanity check (norm conservation, leakage) failed."""
-
-
 # |alpha| above this is refused: far past any phase with meaning, and small
 # enough that 2*alpha and alpha*x stay finite on any window.
 _MAX_PHASE = 1e300
@@ -51,13 +63,11 @@ class WalkParams:
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if not abs(self.alpha) <= _MAX_PHASE:
-            raise ValueError(f"alpha must be finite and within +-{_MAX_PHASE:g}, got {self.alpha}")
+            raise ConfigError(f"alpha must be finite and within +-{_MAX_PHASE:g}, got {self.alpha}")
         if not 0.0 <= self.delocalization <= 1.0:
-            raise ValueError(
-                f"delocalization must be in [0, 1], got {self.delocalization}"
-            )
+            raise ConfigError(f"delocalization must be in [0, 1], got {self.delocalization}")
         # alpha is kept as given; 2*pi periodicity is a tested property,
         # not an input normalization.
 
@@ -70,7 +80,7 @@ class LatticeWindow:
 
     def __post_init__(self):
         if int(self.half_width) != self.half_width or self.half_width < 1:
-            raise ValueError(f"half_width must be an integer >= 1, got {self.half_width}")
+            raise ConfigError(f"half_width must be an integer >= 1, got {self.half_width}")
 
     @property
     def n_sites(self) -> int:

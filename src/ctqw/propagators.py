@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    ConfigError,
     LatticeWindow,
     NumericalValidationError,
     UndersizedGridError,
@@ -44,13 +45,15 @@ class RingSpec:
 
     def __post_init__(self):
         if int(self.size) != self.size or self.size < 3:
-            raise ValueError(f"ring size must be an integer >= 3, got {self.size}")
+            raise ConfigError(f"ring size must be an integer >= 3, got {self.size}")
 
     @classmethod
-    def for_run(cls, params: WalkParams, t_max: float) -> "RingSpec":
+    def for_run(cls, params: WalkParams, t_max: float,
+                window: Optional[LatticeWindow] = None) -> "RingSpec":
         """Power-of-two ring big enough that wrap-around stays outside the
-        light cone (plus margin) up to t_max."""
-        need = 2 * light_cone_half_width(params.gamma, abs(t_max)) + 3
+        light cone (plus margin) up to t_max, and that holds the window."""
+        need = max(2 * light_cone_half_width(params.gamma, abs(t_max)) + 3,
+                   window.n_sites if window else 0)
         return cls(size=1 << max(2, math.ceil(math.log2(need))))
 
     def validate_for(self, params: WalkParams, t: float) -> None:
@@ -71,7 +74,7 @@ class OdeSpec:
 
     def __post_init__(self):
         if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise ConfigError(f"step must be positive, got {self.step}")
 
     @classmethod
     def default_for(cls, params: WalkParams) -> "OdeSpec":

@@ -127,6 +127,31 @@ class TestSweep:
         assert rows[1][1] == pytest.approx(-math.sqrt(2), abs=1e-12)
         assert all(math.isinf(r[2]) for r in rows)  # alpha = pi/2: no crossing
 
+    @pytest.mark.parametrize("config, argv, param", [
+        (None, ["--sweep-param", "alpha", "--alpha", "0.3"], "alpha"),
+        (None, ["--dparam", "0.7"], "dparam"),  # a dparam sweep by default
+        (None, ["--sweep-param", "dparam", "--dparam", "0"], "dparam"),  # 0 is not the default
+        ("alpha = 0", ["--sweep-param", "alpha"], "alpha"),
+        ("sweep_param = alpha", ["--alpha", "1"], "alpha"),
+    ])
+    def test_swept_parameter_flag_is_refused(self, tmp_path, capsys, config, argv, param):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        assert run("sweep", "--steps", "3", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ctqw: config error: --{param} would be ignored: "
+                                f"--sweep-param {param} sweeps it from --start to --stop\n")
+
+    def test_unswept_parameter_flag_is_read(self, capsys):
+        assert run("sweep", "--steps", "3") == 0
+        default = capsys.readouterr().out
+        assert run("sweep", "--steps", "3", "--alpha", "0") == 0
+        assert capsys.readouterr().out == default
+        assert run("sweep", "--steps", "3", "--alpha", "1") == 0
+        assert capsys.readouterr().out != default
+
 
 class TestFigures:
     def test_fig4_values_and_sentinel(self, tmp_path):
@@ -553,6 +578,22 @@ def test_spectral_window_is_checked(capsys, argv):
     assert "Traceback" not in captured.err
     assert "window half_width=5 leaks norm" in captured.err
     assert captured.err.rstrip().endswith("at t=20.0" if argv[0] == "wavefunction" else "at t=10.0")
+
+
+def test_default_ring_holds_a_half_width_wider_than_the_light_cone(tmp_path):
+    # t=5 needs a ring of 2*50+3 sites; the 201-site window needs the next power of two
+    argv = ["wavefunction", "--tmax", "5", "--half-width", "100"]
+    run_plan = plan(build_parser().parse_args([*argv, "--source", "spectral"]))
+    assert run_plan.ring.size == 256
+    assert run_plan.counts["FFT points"] == 256 * 2  # counted on that ring
+    tables = {}
+    for source in SOURCES:
+        out = tmp_path / f"{source}.csv"
+        assert run(*argv, "--source", source, "--out", str(out)) == 0
+        tables[source] = np.array(read_csv(out)[1])
+    for source in ("spectral", "ode"):
+        assert np.array_equal(tables[source][:, 0], np.arange(-100, 101))
+        assert np.abs(tables[source] - tables["analytic"]).max() < 1e-10, source
 
 
 def test_spectral_table_at_a_large_phase_matches_the_closed_form(tmp_path):

@@ -236,7 +236,8 @@ def _table(text, fmt):
 
 @st.composite
 def sweep_argv(draw):
-    """(argv, gamma, alpha, D, tmax, swept values, format) of a valid sweep run to stdout."""
+    """(argv, gamma, alpha, D, tmax, swept values, format) of a valid sweep run to stdout.
+    The swept parameter's flag is left out: sweep refuses it."""
     param = draw(st.sampled_from(["dparam", "alpha"]))
     gamma = draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e2]))
     alpha = draw(st.sampled_from([0.0, 0.7, math.pi / 4, math.pi / 2, -2.0, 4.0, 1e6]))
@@ -247,8 +248,9 @@ def sweep_argv(draw):
     steps = draw(st.integers(2, 40))
     tmax = draw(st.sampled_from([0.0, 0.5, 5.0, 500.0]))
     fmt = draw(st.sampled_from(["csv", "json"]))
-    argv = ["sweep", "--sweep-param", param, "--gamma", repr(gamma), "--alpha", repr(alpha),
-            "--dparam", repr(d), "--start", repr(start), "--stop", repr(stop),
+    fixed = ["--alpha", repr(alpha)] if param == "dparam" else ["--dparam", repr(d)]
+    argv = ["sweep", "--sweep-param", param, "--gamma", repr(gamma), *fixed,
+            "--start", repr(start), "--stop", repr(stop),
             "--steps", str(steps), "--tmax", repr(tmax), "--format", fmt]
     return argv, gamma, alpha, d, tmax, np.linspace(start, stop, steps), fmt
 
