@@ -33,7 +33,7 @@ from .validate import GRID_T, QUICK_T, oracle_triangle, triangle_plan
 # its amount is named in. Sites and amplitudes bound memory. The others bound
 # time, each to about 25 s of CPU on a 2-vCPU VM at the rate measured beside it.
 LIMITS = {
-    "sites": 10**6,  # window half width or ring size: ~1000x the largest benchmark grid
+    "sites": 10**6,  # window half width, ~1000x the largest benchmark grid; the ring follows
     # times x window sites, 512 MiB of complex; observables makes it in blocks, so at
     # the limit it peaks at 160 MiB RSS (analytic: its Bessel rows), 32 spectral, 50 ode
     "amplitudes": 2**25,
@@ -81,8 +81,6 @@ def _add_numerics(parser):
     parser.add_argument("--source", choices=("analytic", "spectral", "ode"), default="analytic")
     parser.add_argument("--half-width", type=int, default=None,
                         help="override the lattice window half width")
-    parser.add_argument("--ring-size", type=int, default=None,
-                        help="override the spectral ring size")
     parser.add_argument("--step", type=_finite, default=None,
                         help="override the RK4 time step (default 1e-3/gamma)")
 
@@ -175,14 +173,13 @@ def _fmt(amount):
 class Plan:
     """What one run chose from its arguments, and the largest amount of each
     quantity of LIMITS that its work needs. A spectral run has a ring, an RK4
-    run an ode spec; validate's points are the oracle triangle's."""
+    run an ode spec; its points are the one walk it runs, or the oracle triangle's."""
 
-    params: Optional[WalkParams] = None
+    points: Sequence[WalkParams] = ()
     times: Sequence[float] = ()
     window: Optional[LatticeWindow] = None
     ring: Optional[RingSpec] = None
     ode: Optional[OdeSpec] = None
-    points: Sequence[WalkParams] = ()
     counts: dict = field(default_factory=dict)
 
     def count(self, quantity, amount, what):
@@ -194,7 +191,7 @@ class Plan:
 
 
 def plan(args) -> Plan:
-    """Check args and choose the run they ask for: params, times, window, and
+    """Check args and choose the run they ask for: points, times, window, and
     ring or RK4 spec. Nothing runs. Each choice is made only once the work it
     sizes is within LIMITS, sites first, so none overflows and each refusal
     names the first fault. A figure needs an --out naming a file; it counts nothing."""
@@ -213,11 +210,10 @@ def plan(args) -> Plan:
         raise ConfigError("figure requires --out naming a file (panel files derive from it)")
     if command in ("sweep", "figure"):
         return run
-    for flag, source in (("--ring-size", "spectral"), ("--step", "ode")):  # one source's sizing
-        if getattr(args, flag[2:].replace("-", "_"), None) is not None and args.source != source:
-            raise ConfigError(f"{flag} sizes --source {source} only, not {args.source}")
-    run.params = WalkParams(gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
-                            delocalization=getattr(args, "dparam", 0.0))
+    if getattr(args, "step", None) is not None and args.source != "ode":  # it sizes RK4 only
+        raise ConfigError(f"--step sizes --source ode only, not {args.source}")
+    run.points = [WalkParams(gamma=args.gamma, alpha=getattr(args, "alpha", 0.0),
+                             delocalization=getattr(args, "dparam", 0.0))]
     if command == "validate":
         run.times = QUICK_T if args.quick else GRID_T
     elif command == "wavefunction":
@@ -247,9 +243,7 @@ def plan(args) -> Plan:
         if command != "survival":
             if args.half_width is not None:
                 run.count("sites", args.half_width, "--half-width asks for")
-            if args.ring_size is not None:
-                run.count("sites", args.ring_size, "--ring-size asks for")
-            run.window = (window_for(run.params, t) if args.half_width is None
+            run.window = (window_for(run.points[0], t) if args.half_width is None
                           else LatticeWindow(args.half_width))
             sites = run.window.n_sites
             run.count("amplitudes", n_times * sites, f"{n_times} times x {sites} sites need")
@@ -261,17 +255,16 @@ def plan(args) -> Plan:
             run.count("order-columns", top * n_times,
                       f"Bessel order {top} over {n_times} times needs")
         elif args.source == "spectral":
-            run.ring = (RingSpec.for_run(run.params, t, run.window) if args.ring_size is None
-                        else RingSpec(args.ring_size))
+            run.ring = RingSpec.for_run(run.points[0], t, run.window)
             size = run.ring.size
             run.count("FFT points", size * (1 + n_times),
                       f"{n_times} times on a ring of {size} sites need")
         else:
-            run.ode = (OdeSpec.default_for(run.params) if args.step is None
+            run.ode = (OdeSpec.default_for(run.points[0]) if args.step is None
                        else OdeSpec(step=args.step))
     if run.ode is not None:
         steps = -(-t // run.ode.step)  # a float: a tiny step gives inf
-        sites, rows = run.window.n_sites, len(run.points) or 1  # the triangle's, or the run's one
+        sites, rows = run.window.n_sites, len(run.points)
         rk4 = f"RK4 to t={t:g} at step {run.ode.step:g}"
         on = f"{sites} sites" + (f" x {rows} rows" if rows > 1 else "")
         run.count("site-steps", steps * sites * rows, f"{rk4} on {on} needs")
@@ -284,10 +277,10 @@ def plan(args) -> Plan:
 
 def _blocks(run):
     """The plan's (times x sites) amplitudes by its route, BLOCK_AMPLITUDES at a time."""
-    size, points = max(1, BLOCK_AMPLITUDES // run.window.n_sites), [run.params]
-    blocks = (spectral_blocks(points, run.ring, run.window, run.times, size) if run.ring
-              else analytic_blocks(points, run.window, run.times, size) if run.ode is None
-              else propagate_ode_blocks(points, run.window, run.ode, run.times, size))
+    size = max(1, BLOCK_AMPLITUDES // run.window.n_sites)
+    blocks = (spectral_blocks(run.points, run.ring, run.window, run.times, size) if run.ring
+              else analytic_blocks(run.points, run.window, run.times, size) if run.ode is None
+              else propagate_ode_blocks(run.points, run.window, run.ode, run.times, size))
     return (amps[:, 0] for amps in blocks)  # of the one point
 
 
@@ -322,7 +315,8 @@ def _observables(args, run):
 
 
 def _survival(args, run):
-    yield None, ["t", "P_surv"], np.column_stack((run.times, survival_exact(run.params, run.times)))
+    exact = survival_exact(run.points[0], run.times)  # of the one point
+    yield None, ["t", "P_surv"], np.column_stack((run.times, exact))
 
 
 def _sweep(args, run):

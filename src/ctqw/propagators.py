@@ -96,7 +96,8 @@ def spectral_blocks(points: Sequence[WalkParams], ring: RingSpec, window: Lattic
     far = float(times[np.argmax(np.abs(times))]) if times.size else 0.0
     ring.validate_for(max(points, key=lambda p: p.gamma), far)  # the widest light cone
     if window.n_sites > ring.size:
-        raise UndersizedGridError("observation window larger than the ring")
+        raise UndersizedGridError(f"window of {window.n_sites} sites is larger than the ring "
+                                  f"of {ring.size} sites")
 
     on_ring = window.sites() % ring.size
     psi0 = np.zeros((len(points), ring.size), dtype=complex)

@@ -1,7 +1,10 @@
+import argparse
 import io
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from oracles import analytic_amplitudes, ode_amplitudes, spectral_amplitudes
 from readback import read_csv
 
 PI = math.pi
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -326,9 +330,10 @@ BAD_INPUTS = [
     ("step = 0", ["observables", "--source", "ode", *GRID], "step must be"),
     (None, ["wavefunction", "--tmax", "1", "--half-width", "0"], "half_width must be"),
     ("half_width = 0", ["observables", *GRID], "half_width must be"),
+    # the spectral ring is the plan's: no flag or key sizes it
     (None, ["wavefunction", "--source", "spectral", "--tmax", "1", "--ring-size", "2"],
-     "ring size must be"),
-    ("ring_size = 2", ["observables", "--source", "spectral", *GRID], "ring size must be"),
+     "unrecognized arguments: --ring-size"),
+    ("ring_size = 2", ["observables", "--source", "spectral", *GRID], "unknown key 'ring_size'"),
     # each figure fixes its own walks, so it takes no walk flag or key
     *[(None, ["figure", "fig4", flag, "2"], f"unrecognized arguments: {flag} 2")
       for flag in ("--gamma", "--alpha", "--dparam")],
@@ -338,10 +343,9 @@ BAD_INPUTS = [
      "--step sizes --source ode only, not analytic"),
     ("step = 0.01", ["observables", "--source", "spectral", *GRID],
      "--step sizes --source ode only, not spectral"),
-    (None, ["observables", "--ring-size", "64", *GRID],
-     "--ring-size sizes --source spectral only, not analytic"),
+    (None, ["observables", "--ring-size", "64", *GRID], "unrecognized arguments: --ring-size"),
     ("ring_size = 64", ["wavefunction", "--source", "ode", "--tmax", "1"],
-     "--ring-size sizes --source spectral only, not ode"),
+     "unknown key 'ring_size'"),
     # negative times, for every source
     (None, ["survival", "--tmin", "-1", *GRID], "tmin must be >= 0"),
     ("tmin = -1", ["survival", *GRID], "tmin must be >= 0"),
@@ -363,7 +367,7 @@ BAD_INPUTS = [
     (None, ["validate", "--gamma", "1e5"], "t=50 at gamma=100000"),
     (None, ["observables", "--half-width", "1000001", *GRID], "--half-width asks for 1000001"),
     ("ring_size = 4194304", ["observables", "--source", "spectral", *GRID],
-     "--ring-size asks for 4194304 sites, over the limit of 1000000"),
+     "unknown key 'ring_size'"),
     # the (times x sites) matrix is sized before the grid or any matrix is allocated
     (None, ["observables", "--tmax", "400000", "--npoints", "2000"],
      "2000 times x 1601115 sites need 3202230000 amplitudes"),
@@ -407,9 +411,9 @@ BAD_INPUTS = [
      "over the limit of 1000000000"),
     (None, ["observables", "--half-width", "1", "--tmax", "400000", "--npoints", "1000000"],
      "needs 800944000000 order-columns, over the limit of 1000000000"),
-    (None, ["observables", "--source", "spectral", "--ring-size", "1000000", "--half-width", "50",
-            "--tmax", "1", "--npoints", "300000"],
-     "300000 times on a ring of 1000000 sites need 300001000000 FFT points, "
+    (None, ["observables", "--source", "spectral", "--half-width", "1", "--tmax", "100000",
+            "--npoints", "1000"],
+     "1000 times on a ring of 524288 sites need 524812288 FFT points, "
      "over the limit of 300000000"),
     (None, ["validate", "--gamma", "6"],
      "on 1303 sites x 16 rows needs 6.25e+09 site-steps, over the limit of 1e+09"),
@@ -596,6 +600,16 @@ def test_default_ring_holds_a_half_width_wider_than_the_light_cone(tmp_path):
         assert np.abs(tables[source] - tables["analytic"]).max() < 1e-10, source
 
 
+def test_readme_names_exactly_the_flags_the_parser_defines():
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for p in (parser, *commands.values()) for a in p._actions
+               for flag in a.option_strings if flag.startswith("--")}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    assert named - defined <= {"--no-build-isolation", "--key"}  # pip's, the config placeholder
+    assert defined - named == {"--help"}
+
+
 def test_spectral_table_at_a_large_phase_matches_the_closed_form(tmp_path):
     argv = ["observables", "--alpha", "1e17", "--dparam", "0.5", "--tmax", "2", "--npoints", "3"]
     tables = {}
@@ -699,7 +713,7 @@ def test_a_leak_in_a_later_block_names_the_first_leaking_time(tmp_path, monkeypa
 
 @pytest.mark.parametrize("source, flags, share", [
     ("analytic", [], 2),  # the Miller rows, (half width + 2) x times, remain
-    ("spectral", ["--ring-size", "2048"], 8),
+    ("spectral", [], 8),  # on its planned ring of 2048 sites
     ("ode", [], 8),
 ])
 def test_observables_memory_is_bounded_by_its_blocks(tmp_path, source, flags, share):
@@ -708,6 +722,7 @@ def test_observables_memory_is_bounded_by_its_blocks(tmp_path, source, flags, sh
     counted = plan(build_parser().parse_args(argv))
     matrix = 16 * counted.counts["amplitudes"]  # bytes of the whole complex matrix
     assert matrix >= 32 * 2**20
+    assert counted.ring is None or counted.ring.size == 2048
     assert _traced_peak(argv) < matrix / share
 
 

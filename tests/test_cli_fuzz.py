@@ -49,7 +49,7 @@ INTS = _values(["2", "3", "7", "40"], ["0", "1", "201", "-5", "1000001", "9" * 4
 VALUES = {
     **dict.fromkeys(["--gamma", "--alpha", "--dparam", "--tmin", "--tmax", "--start", "--stop",
                      "--step"], FLOATS),
-    **dict.fromkeys(["--npoints", "--half-width", "--ring-size", "--steps"], INTS),
+    **dict.fromkeys(["--npoints", "--half-width", "--steps"], INTS),
     "--source": st.sampled_from(["analytic", "spectral", "ode", "bogus"]),
     "--spacing": st.sampled_from(["lin", "log", "cubic"]),
     "--format": st.sampled_from(["csv", "json", "xml"]),
@@ -58,7 +58,7 @@ VALUES = {
 }
 COMMON = ["--gamma", "--alpha", "--dparam", "--format"]
 GRID = ["--tmin", "--tmax", "--npoints", "--spacing"]
-NUMERICS = ["--source", "--half-width", "--ring-size", "--step"]
+NUMERICS = ["--source", "--half-width", "--step"]
 FLAGS = {
     "wavefunction": COMMON + NUMERICS + ["--tmax"],
     "observables": COMMON + GRID + NUMERICS,

@@ -143,6 +143,11 @@ class TestSpectralAmplitudes:
         with pytest.raises(UndersizedGridError, match=r"at t=-50\.0 "):
             spectral_amplitudes(WalkParams(), RingSpec(64), LatticeWindow(5), [0.0, -50.0, 5.0])
 
+    def test_window_wider_than_the_ring_names_both_sizes(self):
+        with pytest.raises(UndersizedGridError,
+                           match=r"^window of 201 sites is larger than the ring of 128 sites$"):
+            spectral_amplitudes(WalkParams(), RingSpec(128), LatticeWindow(100), [0.5])
+
     @pytest.mark.parametrize("alpha", [4.0, -7.5, 1e4, 1e5, 3e6, 1e9, 1e12, 1e17, 1e300, -1e300])
     def test_phase_past_pi_matches_the_closed_form(self, alpha):
         # cos(alpha - k) loses k once ulp(alpha) nears the momentum spacing
