@@ -11,7 +11,6 @@ from .model import (
     LatticeWindow,
     NumericalValidationError,
     Refusal,
-    UndersizedGridError,
     WalkParams,
     initial_state_position,
     light_cone_half_width,
@@ -43,7 +42,6 @@ __all__ = [
     "LatticeWindow",
     "NumericalValidationError",
     "Refusal",
-    "UndersizedGridError",
     "WalkParams",
     "initial_state_position",
     "light_cone_half_width",

@@ -1,10 +1,10 @@
 """Command-line front end: scenario runs, figure-data reproduction, validation.
 
 Exit codes: 0 success, 1 I/O failure (an OSError), 2 configuration error
-(``ConfigError``), 3 numerical validation failure (``UndersizedGridError``,
-``NumericalValidationError``). Each refusal type is a ``model.Refusal`` that
-carries its exit code and label; ``main`` prints ``ctqw: <label>: <message>``
-on one stderr line, with no traceback.
+(``ConfigError``), 3 numerical validation failure (``NumericalValidationError``).
+Each refusal type is a ``model.Refusal``, a ValueError that carries its exit code
+and label; ``main`` prints ``ctqw: <label>: <message>`` on one stderr line, with
+no traceback.
 """
 
 import argparse
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a bad argv
         return exc.code
-    except Refusal as exc:  # ConfigError 2; UndersizedGridError, NumericalValidationError 3
+    except Refusal as exc:  # ConfigError 2, NumericalValidationError 3
         print(f"ctqw: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:

@@ -11,23 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Refusal(Exception):
-    """A run refused rather than computed unsoundly. The CLI prints one line,
-    ``ctqw: <label>: <message>``, and exits with the type's ``exit_code``."""
+class Refusal(ValueError):
+    """A run refused rather than computed unsoundly; every refusal is a ValueError. The
+    CLI prints one line, ``ctqw: <label>: <message>``, and exits with the type's
+    ``exit_code``: 2 for a ``ConfigError``, 3 for a ``NumericalValidationError``."""
 
 
-class ConfigError(Refusal, ValueError):
+class ConfigError(Refusal):
     """An argument, config line, spec field or amount of work the run refuses."""
     exit_code, label = 2, "config error"
 
 
-class UndersizedGridError(Refusal, ValueError):
-    """A lattice window or ring is too small to contain the light cone."""
-    exit_code, label = 3, "numerical validation failure"
-
-
-class NumericalValidationError(Refusal, RuntimeError):
-    """A numerical sanity check (norm conservation, leakage) failed."""
+class NumericalValidationError(Refusal):
+    """A numerical check failed: a grid too small for the light cone, or a norm or edge leak."""
     exit_code, label = 3, "numerical validation failure"
 
 
@@ -37,14 +33,19 @@ _NORM_REJECT = 1e-10
 
 def check_norm_deficit(window: "LatticeWindow", amplitudes: np.ndarray, times, norm=1.0) -> None:
     """Reject a (times x sites) or (times x points x sites) array if any row's squared
-    norm fell short of ``norm`` (the initial state's) off the window; the error names
-    the first such time."""
+    norm fell short of ``norm`` (the initial state's) off the window, or is not a number;
+    the error names the first such time."""
     deficit = np.abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - norm)
-    leaks = np.argwhere(deficit > _NORM_REJECT)  # in time order
+    leaks = np.argwhere(~(deficit <= _NORM_REJECT))  # in time order; a NaN leaks
     if leaks.size:
         i = tuple(leaks[0])
-        raise UndersizedGridError(f"window half_width={window.half_width} leaks norm "
-                                  f"{deficit[i]:.3e} at t={times[i[0]]}")
+        raise NumericalValidationError(f"window half_width={window.half_width} leaks norm "
+                                       f"{deficit[i]:.3e} at t={times[i[0]]}")
+
+
+def is_whole(x, least: int) -> bool:
+    """x is an integer value >= least; int() never sees a NaN or an infinity."""
+    return x == x and x not in (math.inf, -math.inf) and int(x) == x and x >= least
 
 
 # |alpha| above this is refused: far past any phase with meaning, and small
@@ -79,7 +80,7 @@ class LatticeWindow:
     half_width: int
 
     def __post_init__(self):
-        if int(self.half_width) != self.half_width or self.half_width < 1:
+        if not is_whole(self.half_width, 1):
             raise ConfigError(f"half_width must be an integer >= 1, got {self.half_width}")
 
     @property

@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .analytic import survival_exact
-from .model import LatticeWindow, WalkParams
+from .model import LatticeWindow, NumericalValidationError, WalkParams
 
 # Half period (in gamma*t) of the J_n(2 gamma t)^2 oscillations; the
 # smoothing window spans one full oscillation.
@@ -71,9 +71,10 @@ def observables_from_amplitudes(window: LatticeWindow, amplitudes: np.ndarray):
     of a (times x sites) matrix of unit-norm states on the window."""
     p = np.abs(amplitudes) ** 2
     norms = p.sum(axis=1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > _NORM_STATE_LIMIT)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_STATE_LIMIT))  # a NaN is off
     if off.size:
-        raise ValueError(f"state norm^2 = {norms[off[0]]:.9f} is not 1; upstream evolution invalid")
+        raise NumericalValidationError(f"state norm^2 = {norms[off[0]]:.9f} is not 1; "
+                                       "upstream evolution invalid")
     xs = window.sites()
     c = window.index(0)
     mean = np.sum(xs * p, axis=1)

@@ -25,11 +25,11 @@ from .model import (
     ConfigError,
     LatticeWindow,
     NumericalValidationError,
-    UndersizedGridError,
     WalkParams,
     band_phase,
     check_norm_deficit,
     initial_state_position,
+    is_whole,
     light_cone_half_width,
 )
 
@@ -44,7 +44,7 @@ class RingSpec:
     size: int
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < 3:
+        if not is_whole(self.size, 3):
             raise ConfigError(f"ring size must be an integer >= 3, got {self.size}")
 
     @classmethod
@@ -60,7 +60,7 @@ class RingSpec:
         # at t = 0 nothing propagates; any ring holding the seed state works
         need = 3 if t == 0.0 else 2 * light_cone_half_width(params.gamma, abs(t)) + 3
         if self.size < need:
-            raise UndersizedGridError(
+            raise NumericalValidationError(
                 f"ring of {self.size} sites cannot hold the light cone at t={t} "
                 f"(needs >= {need})"
             )
@@ -96,8 +96,8 @@ def spectral_blocks(points: Sequence[WalkParams], ring: RingSpec, window: Lattic
     far = float(times[np.argmax(np.abs(times))]) if times.size else 0.0
     ring.validate_for(max(points, key=lambda p: p.gamma), far)  # the widest light cone
     if window.n_sites > ring.size:
-        raise UndersizedGridError(f"window of {window.n_sites} sites is larger than the ring "
-                                  f"of {ring.size} sites")
+        raise NumericalValidationError(f"window of {window.n_sites} sites is larger than the "
+                                       f"ring of {ring.size} sites")
 
     on_ring = window.sites() % ring.size
     psi0 = np.zeros((len(points), ring.size), dtype=complex)
@@ -138,7 +138,7 @@ def propagate_ode_blocks(params: Sequence[WalkParams], window: LatticeWindow, od
     t_max = float(times[-1])
     need_half = 1 if t_max == 0.0 else max(light_cone_half_width(p.gamma, t_max) for p in params)
     if window.half_width < need_half:
-        raise UndersizedGridError(
+        raise NumericalValidationError(
             f"window half_width={window.half_width} too small for t={t_max} "
             f"(needs >= {need_half})"
         )

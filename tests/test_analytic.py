@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ctqw import (
     LatticeWindow,
-    UndersizedGridError,
+    NumericalValidationError,
     WalkParams,
     initial_state_position,
     is_fine_tuned,
@@ -90,7 +90,7 @@ class TestWavefunction:
         assert np.allclose(p1, p2, rtol=0, atol=1e-12)
 
     def test_undersized_window_rejected(self):
-        with pytest.raises(UndersizedGridError):
+        with pytest.raises(NumericalValidationError):
             analytic_amplitudes(WalkParams(), LatticeWindow(10), [20.0])
 
     def test_negative_time_rejected(self):
@@ -107,12 +107,12 @@ class TestWavefunction:
             assert np.array_equal(row, analytic_amplitudes(params, window, [t])[0])
 
     def test_time_vector_names_first_undersized_time(self):
-        with pytest.raises(UndersizedGridError, match=r"at t=20\.0$"):
+        with pytest.raises(NumericalValidationError, match=r"at t=20\.0$"):
             analytic_amplitudes(WalkParams(), LatticeWindow(10), [1.0, 20.0, 0.0, 30.0])
         # D = 1 leaks from gamma*t = 1.46 on, D = 0 from 1.71: the batch names the
         # first leaking time over all its points
         points = [WalkParams(), WalkParams(delocalization=1.0)]
-        with pytest.raises(UndersizedGridError, match=r"at t=1\.6$"):
+        with pytest.raises(NumericalValidationError, match=r"at t=1\.6$"):
             analytic_amplitudes(points, LatticeWindow(10), [1.0, 1.6, 2.0])
         with pytest.raises(ValueError, match="got -1.0"):
             analytic_amplitudes(WalkParams(), LatticeWindow(50), [1.0, -1.0, 2.0])

@@ -14,7 +14,6 @@ from ctqw import (
     NumericalValidationError,
     OdeSpec,
     RingSpec,
-    UndersizedGridError,
     WalkParams,
     bessel,
     cli,
@@ -681,8 +680,8 @@ def test_observables_in_blocks_equal_the_whole_matrix(tmp_path, monkeypatch, sou
 
 
 @pytest.mark.parametrize("source, half_width, flags, error", [
-    ("analytic", 6, [], UndersizedGridError),
-    ("spectral", 6, [], UndersizedGridError),
+    ("analytic", 6, [], NumericalValidationError),
+    ("spectral", 6, [], NumericalValidationError),
     ("ode", 45, ["--step", "0.02"], NumericalValidationError),  # RK4's norm drifts past 1e-9
 ])
 def test_a_leak_in_a_later_block_names_the_first_leaking_time(tmp_path, monkeypatch, capsys,

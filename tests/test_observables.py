@@ -5,6 +5,7 @@ import pytest
 
 from ctqw import (
     LatticeWindow,
+    NumericalValidationError,
     OdeSpec,
     RingSpec,
     WalkParams,
@@ -136,6 +137,14 @@ class TestObservablesFromAmplitudes:
         amps = analytic_amplitudes(params, window, [0.0, 0.5, 1.0])
         amps[1] *= 1.01
         with pytest.raises(ValueError, match="is not 1"):
+            observables_from_amplitudes(window, amps)
+
+    def test_rejects_a_nan_row(self):
+        params = WalkParams(alpha=0.4, delocalization=0.5)
+        window = window_for(params, 1.0)
+        amps = analytic_amplitudes(params, window, [0.0, 0.5, 1.0])
+        amps[1] = np.nan
+        with pytest.raises(NumericalValidationError, match=r"^state norm\^2 = nan is not 1"):
             observables_from_amplitudes(window, amps)
 
 

@@ -9,7 +9,6 @@ from ctqw import (
     NumericalValidationError,
     OdeSpec,
     RingSpec,
-    UndersizedGridError,
     WalkParams,
     initial_state_position,
     observables_from_amplitudes,
@@ -31,7 +30,7 @@ class TestRingSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             RingSpec(2)
-        with pytest.raises(UndersizedGridError):
+        with pytest.raises(NumericalValidationError):
             RingSpec(64).validate_for(WalkParams(), 50.0)
 
 
@@ -75,7 +74,7 @@ class TestSpectral:
         assert np.allclose(back, expected, rtol=0, atol=1e-12)
 
     def test_rejects_undersized_ring(self):
-        with pytest.raises(UndersizedGridError):
+        with pytest.raises(NumericalValidationError):
             spectral_amplitudes(WalkParams(), RingSpec(32), window_for(WalkParams(), 50.0), [50.0])
 
 
@@ -114,8 +113,18 @@ class TestSpectralAmplitudes:
         assert np.allclose(np.sum(np.abs(amps) ** 2, axis=1), 0.25, rtol=0, atol=1e-13)
         small = LatticeWindow(5)
         half = 0.5 * initial_state_position(params, small)
-        with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=7\.0$"):
+        with pytest.raises(NumericalValidationError,
+                           match=r"half_width=5 leaks norm .* at t=7\.0$"):
             spectral_amplitudes(params, ring, small, [7.0], initial=half)
+
+    def test_a_nan_initial_state_is_refused(self):
+        params = WalkParams(alpha=0.8, delocalization=0.6)
+        window = LatticeWindow(5)
+        ring = RingSpec.for_run(params, 1.0, window)
+        nan = np.full(window.n_sites, np.nan, dtype=complex)
+        # the norm it keeps is NaN, so every time's deficit is NaN: a leak, not a pass
+        with pytest.raises(NumericalValidationError, match=r"leaks norm nan at t=0\.5$"):
+            spectral_amplitudes(params, ring, window, [0.5, 1.0], initial=nan)
 
     def test_initial_state_must_lie_on_the_window(self):
         params = WalkParams(alpha=0.8, delocalization=0.6)
@@ -130,7 +139,8 @@ class TestSpectralAmplitudes:
         ring = RingSpec.for_run(params, 20.0)
         window = LatticeWindow(5)
         assert spectral_amplitudes(params, ring, window, [0.0, 0.1]).shape == (2, 11)
-        with pytest.raises(UndersizedGridError, match=r"half_width=5 leaks norm .* at t=10\.0$"):
+        with pytest.raises(NumericalValidationError,
+                           match=r"half_width=5 leaks norm .* at t=10\.0$"):
             spectral_amplitudes(params, ring, window, [0.1, 10.0, 0.0, 20.0])
 
     def test_empty_time_grid_is_one_empty_block(self):
@@ -140,11 +150,11 @@ class TestSpectralAmplitudes:
         assert amps.shape == analytic_amplitudes(params, window, []).shape
 
     def test_undersized_ring_names_the_farthest_time(self):
-        with pytest.raises(UndersizedGridError, match=r"at t=-50\.0 "):
+        with pytest.raises(NumericalValidationError, match=r"at t=-50\.0 "):
             spectral_amplitudes(WalkParams(), RingSpec(64), LatticeWindow(5), [0.0, -50.0, 5.0])
 
     def test_window_wider_than_the_ring_names_both_sizes(self):
-        with pytest.raises(UndersizedGridError,
+        with pytest.raises(NumericalValidationError,
                            match=r"^window of 201 sites is larger than the ring of 128 sites$"):
             spectral_amplitudes(WalkParams(), RingSpec(128), LatticeWindow(100), [0.5])
 
@@ -198,7 +208,7 @@ class TestSpectralBlocks:
     def test_ring_check_takes_the_fastest_point(self):
         points = [WalkParams(), WalkParams(gamma=2.0)]
         RingSpec(128).validate_for(points[0], 10.0)
-        with pytest.raises(UndersizedGridError, match=r"at t=10\.0 "):
+        with pytest.raises(NumericalValidationError, match=r"at t=10\.0 "):
             next(propagators.spectral_blocks(points, RingSpec(128), LatticeWindow(5), [10.0], 1))
 
 
@@ -253,7 +263,7 @@ class TestOde:
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_rejects_undersized_window(self):
-        with pytest.raises(UndersizedGridError):
+        with pytest.raises(NumericalValidationError):
             ode_amplitudes([WalkParams()], LatticeWindow(10), OdeSpec(1e-3), [20.0])
 
     def test_rejects_negative_time(self):
@@ -332,7 +342,7 @@ class TestOdeBatch:
 
     def test_undersized_window_checked_at_latest_time(self):
         window = window_for(WalkParams(), 1.0)
-        with pytest.raises(UndersizedGridError, match="t=20.0"):
+        with pytest.raises(NumericalValidationError, match="t=20.0"):
             ode_amplitudes(GRID_ROWS, window, OdeSpec(1e-3), [1.0, 20.0])
 
     def test_one_bad_row_trips_edge_leak(self):

@@ -1,7 +1,7 @@
-"""The refusal family: each refusal type carries its exit code and stderr
-label and keeps its builtin base; a bad field of each spec type is a
-ConfigError that is still a ValueError; and main reports a refusal from
-anywhere in a run on one stderr line, with the type's exit code."""
+"""The refusal family: two refusal types, each a Refusal and so a ValueError,
+carry their exit code and stderr label; a bad field of each spec type is a
+ConfigError; and main reports a refusal from anywhere in a run on one stderr
+line, with the type's exit code."""
 
 import math
 
@@ -14,7 +14,6 @@ from ctqw import (
     OdeSpec,
     Refusal,
     RingSpec,
-    UndersizedGridError,
     WalkParams,
     cli,
 )
@@ -22,8 +21,7 @@ from ctqw import (
 # (type, builtin base, exit code, stderr label)
 REFUSALS = [
     (ConfigError, ValueError, 2, "config error"),
-    (UndersizedGridError, ValueError, 3, "numerical validation failure"),
-    (NumericalValidationError, RuntimeError, 3, "numerical validation failure"),
+    (NumericalValidationError, ValueError, 3, "numerical validation failure"),
 ]
 IDS = [r[0].__name__ for r in REFUSALS]
 
@@ -31,6 +29,7 @@ IDS = [r[0].__name__ for r in REFUSALS]
 @pytest.mark.parametrize("cls, builtin, code, label", REFUSALS, ids=IDS)
 def test_each_refusal_carries_its_exit_code_and_label(cls, builtin, code, label):
     assert issubclass(cls, Refusal) and issubclass(cls, builtin)
+    assert cls.__bases__ == (Refusal,) and Refusal.__bases__ == (ValueError,)
     assert (cls.exit_code, cls.label) == (code, label)
 
 
@@ -45,7 +44,12 @@ BAD_FIELDS = [
     (lambda: WalkParams(delocalization=1.5), r"delocalization must be in \[0, 1\]"),
     (lambda: LatticeWindow(0), "half_width must be an integer >= 1"),
     (lambda: LatticeWindow(2.5), "half_width must be an integer >= 1"),
+    (lambda: LatticeWindow(math.inf), "half_width must be an integer >= 1"),
+    (lambda: LatticeWindow(math.nan), "half_width must be an integer >= 1"),
+    (lambda: LatticeWindow("3"), "half_width must be an integer >= 1"),
     (lambda: RingSpec(2), "ring size must be an integer >= 3"),
+    (lambda: RingSpec(math.inf), "ring size must be an integer >= 3"),
+    (lambda: RingSpec(math.nan), "ring size must be an integer >= 3"),
     (lambda: OdeSpec(step=0.0), "step must be positive"),
     (lambda: OdeSpec(step=math.nan), "step must be positive"),
 ]
@@ -81,3 +85,18 @@ def test_main_reports_an_rk4_refusal_on_one_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith("ctqw: numerical validation failure: norm drift ")
     assert captured.err.count("\n") == 1
+
+
+def test_main_reports_an_observables_refusal_on_one_line(tmp_path, monkeypatch, capsys):
+    # every state at half its amplitude: norm^2 0.25, which the observables refuse
+    real = cli.analytic_blocks
+    monkeypatch.setattr(cli, "analytic_blocks",
+                        lambda *args: (0.5 * amps for amps in real(*args)))
+    out = tmp_path / "o.csv"
+    assert cli.main(["observables", "--tmax", "1", "--npoints", "3", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "ctqw: numerical validation failure: state norm^2 = 0.250000000 is not 1")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
